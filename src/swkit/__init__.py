@@ -28,8 +28,6 @@ from .datagen import (
     gen_ar1,
     gen_factors,
     load_csv,
-    sample_gamma_d,
-    sample_sphere,
     save_csv,
 )
 from .errors import (
@@ -55,6 +53,7 @@ from .estimators import (
     autocov_decay,
     center,
     cov_frobenius_sq,
+    estimate,
     fit_iso_gaussian,
     gaussian_projection_constant,
     indep_bound,
@@ -62,6 +61,7 @@ from .estimators import (
     moment_stats,
     monte_carlo_sw_pp,
     project,
+    sample_directions,
     sw_hat,
     sw_moment_approx_sq,
     sw_translation_decompose,

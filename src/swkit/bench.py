@@ -1,17 +1,19 @@
 """Experiment runners for the synthetic benchmarks, with CSV output.
 
-Two experiments:
+Two experiments, each running every configured method on every cell
+through :func:`swkit.estimators.estimate` and timing only that call, never
+the data generation:
 
-* :func:`run_convergence` measures, per dimension and run, the error of the
-  deterministic moment approximation against a reference value (an exact
-  closed form where one exists, a high-projection Monte Carlo estimate
-  otherwise, and exactly zero for the AR scenarios where both datasets come
-  from the same law). This reproduces the error-versus-dimension study at a
-  desk-friendly scale by default.
+* :func:`run_convergence` measures, per dimension and run, the error of each
+  method against a reference value (an exact closed form where one exists, a
+  high-projection Monte Carlo estimate otherwise, and exactly zero for the AR
+  scenarios where both datasets come from the same law). By default the
+  method is the raw moment surrogate, labelled ``raw-moment``, whose error on
+  non-centered data does not vanish with dimension. This reproduces the
+  error-versus-dimension study at a desk-friendly scale by default.
 * :func:`run_timing` compares the deterministic approximation against Monte
   Carlo at several projection counts, recording accuracy against a
-  high-projection reference and wall time per estimator call; timing wraps
-  only the estimator, never the data generation, and takes the median of
+  high-projection reference and wall time per estimator call, the median of
   three repetitions per cell to damp scheduler noise.
 
 Determinism: each experiment cell derives its seed from the master seed and
@@ -24,8 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,20 +41,14 @@ from .datagen import (
     FactorConfig,
     FactorFamily,
     NoiseKind,
+    atomic_write,
     factor_hyperparams,
     gen_ar1,
     gen_factors,
 )
 from .errors import EmptyInput, InvalidSample, NonPositiveError, SwkitError
-from .estimators import (
-    EmpiricalDistribution,
-    Method,
-    ProjectionLaw,
-    fit_iso_gaussian,
-    monte_carlo_sw_pp,
-    sw_hat,
-    sw_moment_approx_sq,
-)
+from .estimators import Method, estimate
+from .estimators import sw_hat  # noqa: F401  (the benchmark's tracer test looks it up here)
 
 DESK_D_GRID = (10, 32, 100, 316, 1000)
 DESK_RUNS = 20
@@ -122,18 +116,17 @@ class ReferenceKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One estimator to run: the deterministic approximation, the moment-fit
-    closed form, or Monte Carlo with a given projection count."""
+    """One estimator to run: a deterministic method, or Monte Carlo with a
+    given projection count."""
 
     method: Method
     L: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        is_mc = self.method in (Method.MONTE_CARLO_SPHERE, Method.MONTE_CARLO_GAUSSIAN)
-        if is_mc and self.L < 1:
+        if self.method.is_mc and self.L < 1:
             raise InvalidSample(f"Monte Carlo method needs L >= 1, got {self.L}")
-        if not is_mc and self.L != 0:
+        if not self.method.is_mc and self.L != 0:
             raise InvalidSample(f"non-Monte-Carlo method must have L = 0, got {self.L}")
 
     @property
@@ -148,9 +141,9 @@ class ExperimentConfig:
     """Declarative description of one experiment.
 
     ``alpha_list`` applies to (and is required for) the AR scenarios only.
-    ``methods`` is honored by :func:`run_timing`; :func:`run_convergence`
-    always evaluates the deterministic approximation, per the error study
-    design. ``burn_in`` feeds the AR generator.
+    Both experiments write one record per cell and entry of ``methods``,
+    which defaults to the convergence study's raw moment surrogate.
+    ``burn_in`` feeds the AR generator.
     """
 
     scenario: Scenario
@@ -160,7 +153,7 @@ class ExperimentConfig:
     alpha_list: tuple[float, ...] = ()
     reference: ReferenceKind = ReferenceKind.CLOSED_FORM
     reference_L: int = REFERENCE_L
-    methods: tuple[MethodSpec, ...] = (MethodSpec(Method.DETERMINISTIC),)
+    methods: tuple[MethodSpec, ...] = (MethodSpec(Method.RAW_MOMENT),)
     master_seed: int = 0
     burn_in: int = DESK_BURN_IN
 
@@ -250,8 +243,9 @@ def default_convergence_config(
     burn_in: int | None = None,
 ) -> ExperimentConfig:
     """Convergence-experiment config with desk-scale defaults (paper-scale
-    sizes behind the flag). Gamma scenarios get the high-projection Monte
-    Carlo reference; Gaussian and AR scenarios use their exact references.
+    sizes behind the flag) for the raw moment surrogate. Gamma scenarios get
+    the high-projection Monte Carlo reference; Gaussian and AR scenarios use
+    their exact references.
     """
     scenario = Scenario(scenario)
     is_ar = scenario in _AR_SCENARIOS
@@ -264,7 +258,6 @@ def default_convergence_config(
         alpha_list=tuple(alpha_list) if alpha_list is not None else (DEFAULT_ALPHAS if is_ar else ()),
         reference=ReferenceKind.MONTE_CARLO if is_gamma else ReferenceKind.CLOSED_FORM,
         reference_L=REFERENCE_L,
-        methods=(MethodSpec(Method.DETERMINISTIC),),
         master_seed=master_seed,
         burn_in=burn_in if burn_in is not None else (PAPER_BURN_IN if paper_scale else DESK_BURN_IN),
     )
@@ -328,11 +321,8 @@ def _generate_pair(cfg, d, alpha, cell_seed):
 def _reference_sq(cfg, mu, nu, closed_ref, cell_seed) -> float:
     if cfg.reference is ReferenceKind.CLOSED_FORM:
         return closed_ref
-    est, _ = monte_carlo_sw_pp(
-        mu, nu, cfg.reference_L, p=2.0, law=ProjectionLaw.SPHERE_UNIFORM,
-        seed=rng.derive_seed(cell_seed, "reference"), workers=1,
-    )
-    return est.value_sq
+    return estimate(mu, nu, Method.MONTE_CARLO_SPHERE, L=cfg.reference_L,
+                    seed=rng.derive_seed(cell_seed, "reference")).value_sq
 
 
 def _cells(cfg):
@@ -348,23 +338,39 @@ def _with_cell_context(exc: SwkitError, cfg, d, alpha, run):
     return type(exc)(f"[{where}, run={run}] {exc}")
 
 
-def _convergence_cell(cfg, d, alpha_idx, alpha, run) -> ResultRecord:
+def _timed_estimate(spec: MethodSpec, mu, nu, seed, reps):
+    """Run one estimator ``reps`` times; return (value_sq, median wall ns)."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter_ns()
+        est = estimate(mu, nu, spec.method, L=spec.L, seed=seed)
+        times.append(time.perf_counter_ns() - t0)
+    return est.value_sq, sorted(times)[reps // 2]
+
+
+def _cell_records(cfg, d, alpha_idx, alpha, run, reps) -> list[ResultRecord]:
+    """One record per configured method for the (d, alpha, run) cell, each
+    method timed as the median of ``reps`` calls. The reference is computed
+    once per cell from a stream disjoint from every method stream."""
     cell_seed = _cell_seed(cfg, alpha_idx, d, run)
+    records = []
     try:
         mu, nu, closed_ref = _generate_pair(cfg, d, alpha, cell_seed)
-        t0 = time.perf_counter_ns()
-        estimate_sq = sw_moment_approx_sq(mu, nu)
-        wall = time.perf_counter_ns() - t0
         reference_sq = _reference_sq(cfg, mu, nu, closed_ref, cell_seed)
+        for method_idx, spec in enumerate(cfg.methods):
+            seed = rng.derive_seed(cell_seed, "method", method_idx)
+            value_sq, wall = _timed_estimate(spec, mu, nu, seed, reps)
+            records.append(_make_record(cfg.scenario.value, run, d, cfg.n, alpha, spec.label,
+                                        value_sq, reference_sq, wall, cell_seed))
     except SwkitError as exc:
         raise _with_cell_context(exc, cfg, d, alpha, run) from exc
-    return _make_record(cfg.scenario.value, run, d, cfg.n, alpha,
-                        Method.DETERMINISTIC.value, estimate_sq, reference_sq, wall, cell_seed)
+    return records
 
 
 def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRecord]:
-    """Error of the deterministic approximation against the reference, one
-    record per (dimension, alpha, run) cell.
+    """Error of every configured method against the reference: per
+    (dimension, alpha, run) cell, one record per method, each from one timed
+    call.
 
     Cells are independent; with ``workers > 1`` they run on a thread pool,
     and since every cell owns a seed derived from its coordinates the records
@@ -373,64 +379,21 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRecor
     cells = list(_cells(cfg))
     workers = max(1, int(workers))
     if workers == 1 or len(cells) == 1:
-        return [_convergence_cell(cfg, d, ai, a, run) for d, ai, a, run in cells]
-    records: list[ResultRecord | None] = [None] * len(cells)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_convergence_cell, cfg, d, ai, a, run): idx
-            for idx, (d, ai, a, run) in enumerate(cells)
-        }
-        for fut, idx in futures.items():
-            records[idx] = fut.result()
-    return records
-
-
-def _timed_estimate(cfg, spec: MethodSpec, mu, nu, cell_seed, method_idx):
-    """Run one estimator three times; return (value_sq, median wall ns)."""
-    value_sq = None
-    times = []
-    for _ in range(_TIMING_REPS):
-        t0 = time.perf_counter_ns()
-        if spec.method is Method.DETERMINISTIC:
-            value_sq = sw_hat(mu, nu).value_sq
-        elif spec.method is Method.CLOSED_FORM_GAUSSIAN:
-            value_sq = sw2_gaussian_iso_closed(fit_iso_gaussian(mu), fit_iso_gaussian(nu))
-        else:
-            law = (ProjectionLaw.SPHERE_UNIFORM
-                   if spec.method is Method.MONTE_CARLO_SPHERE
-                   else ProjectionLaw.GAUSSIAN_SCALED)
-            est, _ = monte_carlo_sw_pp(
-                mu, nu, spec.L, p=2.0, law=law,
-                seed=rng.derive_seed(cell_seed, "method", method_idx), workers=1,
-            )
-            value_sq = est.value_sq
-        times.append(time.perf_counter_ns() - t0)
-    return value_sq, sorted(times)[_TIMING_REPS // 2]
+        per_cell = [_cell_records(cfg, *cell, reps=1) for cell in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_cell = list(pool.map(lambda cell: _cell_records(cfg, *cell, reps=1), cells))
+    return [rec for records in per_cell for rec in records]
 
 
 def run_timing(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Accuracy and wall time of every configured method per (d, run) cell.
 
     Runs strictly serially (one worker) so timings are not skewed by
-    contention. The reference value is computed once per cell from a stream
-    disjoint from all method streams; each method is timed as the median of
-    three repetitions and only the estimator call is inside the clock.
+    contention. Each method is timed as the median of three repetitions and
+    only the estimator call is inside the clock.
     """
-    records = []
-    for d, alpha_idx, alpha, run in _cells(cfg):
-        cell_seed = _cell_seed(cfg, alpha_idx, d, run)
-        try:
-            mu, nu, closed_ref = _generate_pair(cfg, d, alpha, cell_seed)
-            reference_sq = _reference_sq(cfg, mu, nu, closed_ref, cell_seed)
-            for method_idx, spec in enumerate(cfg.methods):
-                value_sq, wall = _timed_estimate(cfg, spec, mu, nu, cell_seed, method_idx)
-                records.append(
-                    _make_record(cfg.scenario.value, run, d, cfg.n, alpha, spec.label,
-                                 value_sq, reference_sq, wall, cell_seed)
-                )
-        except SwkitError as exc:
-            raise _with_cell_context(exc, cfg, d, alpha, run) from exc
-    return records
+    return [rec for cell in _cells(cfg) for rec in _cell_records(cfg, *cell, reps=_TIMING_REPS)]
 
 
 def _scenario_key(record: ResultRecord) -> str:
@@ -508,20 +471,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _atomic_write(path, text: str) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def config_metadata(cfg: ExperimentConfig) -> dict:
     """Provenance recorded at the top of a records CSV."""
     return {
@@ -543,7 +492,7 @@ def write_records_csv(records, path, metadata: dict | None = None) -> None:
     lines.append(",".join(RECORD_FIELDS))
     for rec in records:
         lines.append(",".join(_format_value(getattr(rec, f)) for f in RECORD_FIELDS))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def read_records_csv(path) -> list[ResultRecord]:
@@ -573,7 +522,7 @@ def write_summary_csv(rows, path) -> None:
     lines = [",".join(SUMMARY_FIELDS)]
     for row in rows:
         lines.append(",".join(_format_value(getattr(row, f)) for f in SUMMARY_FIELDS))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def format_summary_table(rows) -> str:

@@ -12,22 +12,18 @@ import argparse
 import math
 import os
 import sys
-import time
 
 from . import bench, datagen
-from .core_ot import sw2_gaussian_iso_closed
 from .errors import SwkitError
 from .estimators import (
     Method,
-    ProjectionLaw,
     SwEstimate,
     autocov_decay,
-    fit_iso_gaussian,
+    estimate,
     moment_stats,
-    monte_carlo_sw_pp,
-    sw_hat,
     xi_d,
 )
+from .estimators import sw_hat  # noqa: F401  (the benchmark's tracer test looks it up here)
 
 
 class UsageError(Exception):
@@ -156,8 +152,7 @@ def _print_estimate(est: SwEstimate) -> None:
 
 def cmd_estimate(args) -> int:
     method = Method(args.method)
-    is_mc = method in (Method.MONTE_CARLO_SPHERE, Method.MONTE_CARLO_GAUSSIAN)
-    if is_mc and args.L < 1:
+    if method.is_mc and args.L < 1:
         raise UsageError(f"--L must be >= 1 for Monte Carlo methods, got {args.L}")
     if args.p < 1.0:
         raise UsageError(f"--p must be >= 1, got {args.p}")
@@ -165,19 +160,9 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     mu = datagen.load_csv(args.file_a)
     nu = datagen.load_csv(args.file_b)
-    if method is Method.DETERMINISTIC:
-        est = sw_hat(mu, nu)
-    elif method is Method.CLOSED_FORM_GAUSSIAN:
-        t0 = time.perf_counter_ns()
-        value = sw2_gaussian_iso_closed(fit_iso_gaussian(mu), fit_iso_gaussian(nu))
-        est = SwEstimate(value_sq=value, method=method, num_projections=0, seed=0,
-                         wall_time_ns=time.perf_counter_ns() - t0)
-    else:
-        law = (ProjectionLaw.SPHERE_UNIFORM if method is Method.MONTE_CARLO_SPHERE
-               else ProjectionLaw.GAUSSIAN_SCALED)
-        est, _ = monte_carlo_sw_pp(mu, nu, args.L, p=args.p, law=law, seed=args.seed,
-                                   workers=_worker_count())
-    _print_estimate(est)
+    workers = _worker_count() if method.is_mc else 1  # only Monte Carlo runs a worker pool
+    _print_estimate(estimate(mu, nu, method, L=args.L, p=args.p, seed=args.seed,
+                             workers=workers))
     return 0
 
 

@@ -1,9 +1,7 @@
 """Seeded generators for every synthetic regime the benchmarks use.
 
-Three families:
+Two families:
 
-* projection direction samplers (uniform on the unit sphere, Gaussian with
-  covariance I/d),
 * independent-factor datasets: each column drawn from its own Gaussian or
   Gamma marginal, with per-dataset hyperparameters themselves drawn from a
   seeded stream so a config reproduces both the hyperparameters and the data,
@@ -13,6 +11,9 @@ Three families:
 Everything is a pure function of (config, seed): same seed, same bytes.
 Rows of AR(1) datasets are generated from fixed-size per-block streams, so
 blocks could be produced in parallel without changing the output.
+
+Projection directions come from :func:`swkit.estimators.sample_directions`,
+the sampler Monte Carlo itself uses.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Callable, TextIO
 
 import numpy as np
 from scipy.signal import lfilter
@@ -110,28 +112,6 @@ class FactorHyperparams:
     scale: float
 
 
-def sample_sphere(d: int, seed: int, count: int) -> np.ndarray:
-    """``count`` unit vectors uniform on the (d-1)-sphere, one per row."""
-    if d < 1 or count < 1:
-        raise InvalidSample(f"d and count must be >= 1, got d={d}, count={count}")
-    g = rng.substream(seed, "sphere").standard_normal((count, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    bad = norms[:, 0] == 0.0
-    if np.any(bad):  # probability zero; pin to a fixed axis rather than divide by 0
-        g[bad, 0] = 1.0
-        norms[bad, 0] = 1.0
-    return g / norms
-
-
-def sample_gamma_d(d: int, seed: int, count: int) -> np.ndarray:
-    """``count`` draws from the Gaussian N(0, I/d), one per row; the squared
-    norm of each row has expectation 1."""
-    if d < 1 or count < 1:
-        raise InvalidSample(f"d and count must be >= 1, got d={d}, count={count}")
-    g = rng.substream(seed, "gamma-d").standard_normal((count, d))
-    return g / math.sqrt(d)
-
-
 def factor_hyperparams(cfg: FactorConfig) -> FactorHyperparams:
     """Draw the per-dataset marginal parameters from the (seed, role)-keyed
     hyperparameter stream; regenerating with the same config reproduces them."""
@@ -189,25 +169,35 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     return EmpiricalDistribution(out)
 
 
+def atomic_write(path, write: Callable[[TextIO], object]) -> None:
+    """Create or replace the text file ``path`` atomically: ``write(fh)``
+    fills a temporary file in the same directory, which is renamed over
+    ``path`` once complete and removed if anything fails before that."""
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_csv(dist: EmpiricalDistribution, path, header: bool = False) -> None:
     """Write a dataset as CSV, one row per sample, atomically (temp + rename).
 
     Values are written with 17 significant digits so a round trip through
     :func:`load_csv` is bit-exact.
     """
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            if header:
-                fh.write(",".join(f"x{j}" for j in range(dist.dim)) + "\n")
-            np.savetxt(fh, dist.data, fmt="%.17g", delimiter=",")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    def write(fh):
+        if header:
+            fh.write(",".join(f"x{j}" for j in range(dist.dim)) + "\n")
+        np.savetxt(fh, dist.data, fmt="%.17g", delimiter=",")
+
+    atomic_write(path, write)
 
 
 def load_csv(path) -> EmpiricalDistribution:

@@ -12,6 +12,8 @@ Estimation routes
   is the normalized second moment of the centered data, and the exact
   mean-separation term ``(1/d) * ||mean gap||^2`` is added back. No sampling,
   no sorting, no tunable projection count.
+* :func:`estimate` is the one place a :class:`Method` label is mapped to its
+  estimator, so every labelled value comes from one known route.
 
 Diagnostics
 -----------
@@ -66,15 +68,6 @@ PAIR_BUDGET_DEFAULT = 10_000_000
 _PAIR_CHUNK = 8192
 
 
-class Method(str, enum.Enum):
-    """Provenance of an estimate."""
-
-    MONTE_CARLO_SPHERE = "mc-sphere"
-    MONTE_CARLO_GAUSSIAN = "mc-gaussian"
-    DETERMINISTIC = "deterministic"
-    CLOSED_FORM_GAUSSIAN = "closed-form-gauss"
-
-
 class ProjectionLaw(str, enum.Enum):
     """Distribution of Monte Carlo projection directions."""
 
@@ -82,11 +75,25 @@ class ProjectionLaw(str, enum.Enum):
     GAUSSIAN_SCALED = "gaussian"  # N(0, I/d)
 
 
-_MC_METHODS = frozenset({Method.MONTE_CARLO_SPHERE, Method.MONTE_CARLO_GAUSSIAN})
-_LAW_TO_METHOD = {
-    ProjectionLaw.SPHERE_UNIFORM: Method.MONTE_CARLO_SPHERE,
-    ProjectionLaw.GAUSSIAN_SCALED: Method.MONTE_CARLO_GAUSSIAN,
-}
+class Method(str, enum.Enum):
+    """Provenance of an estimate. ``law`` is the direction law of a Monte
+    Carlo method and None for the deterministic ones."""
+
+    def __new__(cls, value: str, law: ProjectionLaw | None = None):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.law = law
+        return member
+
+    MONTE_CARLO_SPHERE = "mc-sphere", ProjectionLaw.SPHERE_UNIFORM
+    MONTE_CARLO_GAUSSIAN = "mc-gaussian", ProjectionLaw.GAUSSIAN_SCALED
+    DETERMINISTIC = "deterministic"
+    CLOSED_FORM_GAUSSIAN = "closed-form-gauss"
+    RAW_MOMENT = "raw-moment"
+
+    @property
+    def is_mc(self) -> bool:
+        return self.law is not None
 
 
 @dataclass(frozen=True)
@@ -156,8 +163,8 @@ class SwEstimate:
     def __post_init__(self):
         if not math.isfinite(self.value_sq) or self.value_sq < 0.0:
             raise InvalidSample(f"value_sq must be finite and >= 0, got {self.value_sq}")
-        is_mc = self.method in _MC_METHODS
-        if is_mc != (self.num_projections > 0):
+        object.__setattr__(self, "method", Method(self.method))
+        if self.method.is_mc != (self.num_projections > 0):
             raise InvalidSample(
                 f"num_projections={self.num_projections} inconsistent with method {self.method}"
             )
@@ -219,12 +226,30 @@ def _draw_direction(generator: np.random.Generator, law: ProjectionLaw, d: int) 
     return g / math.sqrt(d)
 
 
+def sample_directions(
+    d: int, seed: int, count: int,
+    law: ProjectionLaw = ProjectionLaw.SPHERE_UNIFORM, start: int = 0,
+) -> np.ndarray:
+    """``count`` projection directions in R^d under ``law``, one per row.
+
+    Row i is Monte Carlo direction ``start + i``, drawn from the stream keyed
+    (seed, start + i), so any range of directions can be drawn on its own and
+    equals the same rows of a longer draw. Sphere directions are normalized
+    Gaussian vectors (a zero vector, of probability zero, is redrawn from the
+    same stream); Gaussian directions are N(0, I/d).
+    """
+    if d < 1 or count < 1:
+        raise InvalidSample(f"d and count must be >= 1, got d={d}, count={count}")
+    law = ProjectionLaw(law)
+    dirs = np.empty((count, d))
+    for i in range(count):
+        dirs[i] = _draw_direction(rng.substream(seed, start + i), law, d)
+    return dirs
+
+
 def _projection_block(mu_data, nu_data, p, law, seed, lo, hi):
     """Per-projection transport costs for directions lo..hi-1 (index-keyed streams)."""
-    d = mu_data.shape[1]
-    dirs = np.empty((hi - lo, d))
-    for i, l in enumerate(range(lo, hi)):
-        dirs[i] = _draw_direction(rng.substream(seed, l), law, d)
+    dirs = sample_directions(mu_data.shape[1], seed, hi - lo, law, start=lo)
     px = dirs @ mu_data.T
     py = dirs @ nu_data.T
     for i in range(hi - lo):  # row-wise sorts hit numpy's vectorized path
@@ -286,7 +311,7 @@ def monte_carlo_sw_pp(
                 values[lo:hi] = fut.result()
     estimate = SwEstimate(
         value_sq=float(np.mean(values)),
-        method=_LAW_TO_METHOD[law],
+        method=next(m for m in Method if m.law is law),
         num_projections=L,
         seed=int(seed),
         wall_time_ns=time.perf_counter_ns() - t0,
@@ -425,15 +450,14 @@ def theorem2_gap_bound(stats_mu: MomentStats, stats_nu: MomentStats) -> float:
 _CENTER_BLOCK_BYTES = 1 << 19
 
 
-def _mean_and_scaled_m2(dist: EmpiricalDistribution, centered: bool) -> tuple[np.ndarray, float]:
-    """Empirical mean and normalized second moment m2/d, optionally of the
-    centered data.
+def _mean_and_scaled_m2(dist: EmpiricalDistribution) -> tuple[np.ndarray, float]:
+    """Empirical mean and normalized centered second moment m2/d.
 
-    The centered moment reads the data once, in row blocks. A pilot shift s,
-    the mean of the first block, is subtracted from each block into a small
-    reused buffer, and the column sums and the sum of squares of the shifted
-    rows are both taken from that buffer. With t the mean of the shifted
-    rows, the mean is s + t and the centered moment is
+    The data is read once, in row blocks. A pilot shift s, the mean of the
+    first block, is subtracted from each block into a small reused buffer,
+    and the column sums and the sum of squares of the shifted rows are both
+    taken from that buffer. With t the mean of the shifted rows, the mean is
+    s + t and the centered moment is
     max(0, mean ||x - s||^2 - ||t||^2). Since s already lies near the mean,
     ||t||^2 is small and the subtraction does not cancel the way the raw
     identity m2 - ||mean||^2 does for far-from-origin data. No full centered
@@ -441,10 +465,6 @@ def _mean_and_scaled_m2(dist: EmpiricalDistribution, centered: bool) -> tuple[np
     """
     data = dist.data
     n, d = data.shape
-    if not centered:
-        mean = data.mean(axis=0)
-        sq = np.einsum("ij,ij->i", data, data)
-        return mean, float(np.mean(sq)) / d
     rows = max(1, _CENTER_BLOCK_BYTES // (data.itemsize * d))
     shift = data[:rows].mean(axis=0)
     buf = np.empty((min(rows, n), d))
@@ -477,8 +497,8 @@ def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
     if mu.dim != nu.dim:
         raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
     t0 = time.perf_counter_ns()
-    mean_mu, scaled_mu = _mean_and_scaled_m2(mu, centered=True)
-    mean_nu, scaled_nu = _mean_and_scaled_m2(nu, centered=True)
+    mean_mu, scaled_mu = _mean_and_scaled_m2(mu)
+    mean_nu, scaled_nu = _mean_and_scaled_m2(nu)
     delta = mean_mu - mean_nu
     value = (math.sqrt(scaled_mu) - math.sqrt(scaled_nu)) ** 2 + float(delta @ delta) / mu.dim
     return SwEstimate(
@@ -493,7 +513,7 @@ def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
 def fit_iso_gaussian(dist: EmpiricalDistribution) -> IsoGaussian:
     """Moment-fit isotropic Gaussian: empirical mean, and the scalar std
     whose squared value is the normalized centered second moment."""
-    mean, scaled = _mean_and_scaled_m2(dist, centered=True)
+    mean, scaled = _mean_and_scaled_m2(dist)
     return IsoGaussian(dist.dim, mean, math.sqrt(scaled))
 
 
@@ -507,9 +527,43 @@ def sw_moment_approx_sq(mu: EmpiricalDistribution, nu: EmpiricalDistribution) ->
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
-    _, scaled_mu = _mean_and_scaled_m2(mu, centered=False)
-    _, scaled_nu = _mean_and_scaled_m2(nu, centered=False)
+    scaled_mu = float(np.mean(np.einsum("ij,ij->i", mu.data, mu.data))) / mu.dim
+    scaled_nu = float(np.mean(np.einsum("ij,ij->i", nu.data, nu.data))) / nu.dim
     return (math.sqrt(scaled_mu) - math.sqrt(scaled_nu)) ** 2
+
+
+def estimate(
+    mu: EmpiricalDistribution,
+    nu: EmpiricalDistribution,
+    method: Method,
+    *,
+    L: int = 0,
+    p: float = 2.0,
+    seed: int = 0,
+    workers: int = 1,
+) -> SwEstimate:
+    """Squared sliced-distance estimate by ``method``, labelled with it.
+
+    This is the only code that maps a method to its estimator. Monte Carlo
+    methods run :func:`monte_carlo_sw_pp` under their direction law with
+    ``L``, ``p``, ``seed`` and ``workers``; the other methods are
+    deterministic order-2 surrogates and ignore all four:
+
+    * ``deterministic`` and ``closed-form-gauss`` give :func:`sw_hat`'s
+      value (the closed form between the two moment-fit isotropic
+      Gaussians adds the same two terms),
+    * ``raw-moment`` gives :func:`sw_moment_approx_sq`.
+    """
+    method = Method(method)
+    if method.is_mc:
+        est, _ = monte_carlo_sw_pp(mu, nu, L, p=p, law=method.law, seed=seed, workers=workers)
+        return est
+    t0 = time.perf_counter_ns()
+    if method is Method.RAW_MOMENT:
+        value_sq = sw_moment_approx_sq(mu, nu)
+    else:
+        value_sq = sw_hat(mu, nu).value_sq
+    return SwEstimate(value_sq=value_sq, method=method, wall_time_ns=time.perf_counter_ns() - t0)
 
 
 def sw_translation_decompose(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestRunConvergence:
         rec = records[0]
         assert rec.scenario == "gaussian-centered"
         assert rec.d == 10 and rec.n == 50 and rec.run_id == 0 and rec.alpha is None
-        assert rec.method == "deterministic"
+        assert rec.method == "raw-moment"
         assert rec.abs_error == abs(math.sqrt(rec.estimate_sq) - math.sqrt(rec.reference_sq))
 
     def test_ar_reference_is_exact_zero(self):
@@ -201,6 +202,20 @@ class TestRunConvergence:
         records = run_convergence(cfg)
         assert len(records) == 2
         assert all(r.reference_sq > 0.0 for r in records)
+
+    def test_honours_configured_methods(self):
+        raw_only = ExperimentConfig(scenario=Scenario.GAMMA_NONCENTERED, d_grid=(10, 20), n=100,
+                                    runs=2, reference=ReferenceKind.MONTE_CARLO,
+                                    reference_L=50, master_seed=4)
+        cfg = dataclasses.replace(raw_only, methods=(MethodSpec(Method.RAW_MOMENT),
+                                                     MethodSpec(Method.DETERMINISTIC)))
+        records = run_convergence(cfg)
+        assert [r.method for r in records] == ["raw-moment", "deterministic"] * 4
+        raw, det = records[::2], records[1::2]
+        cell = lambda r: (r.d, r.run_id, r.seed, r.reference_sq)
+        assert [cell(r) for r in raw] == [cell(r) for r in det]
+        assert all(a.estimate_sq != b.estimate_sq for a, b in zip(raw, det))
+        assert [r.estimate_sq for r in raw] == [r.estimate_sq for r in run_convergence(raw_only)]
 
     def test_noncentered_gamma_error_does_not_decay(self):
         # reduced-scale version of the bounded-error invariant for raw gamma data

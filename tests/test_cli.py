@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from swkit.cli import main
-from swkit.datagen import FactorConfig, FactorFamily, gen_factors, save_csv
+from swkit.datagen import FactorConfig, FactorFamily, gen_factors, load_csv, save_csv
+from swkit.estimators import sw_moment_approx_sq
 
 
 @pytest.fixture
@@ -122,9 +123,17 @@ class TestEstimate:
         a, b = dataset_csv("a.csv", seed=5), dataset_csv("b.csv", seed=6)
         _, out_det, _ = run_cli(capsys, ["estimate", a, b, "--method", "deterministic"])
         _, out_cf, _ = run_cli(capsys, ["estimate", a, b, "--method", "closed-form-gauss"])
-        assert float(out_cf.split(",")[1]) == pytest.approx(
-            float(out_det.split(",")[1]), rel=1e-12)
+        assert out_cf.split(",")[1:4] == out_det.split(",")[1:4]
         assert out_cf.split(",")[0] == "closed-form-gauss"
+
+    def test_raw_moment_row(self, dataset_csv, capsys):
+        a, b = dataset_csv("a.csv", seed=5), dataset_csv("b.csv", seed=6)
+        code, out, _ = run_cli(capsys, ["estimate", a, b, "--method", "raw-moment"])
+        assert code == 0
+        fields = out.strip().split(",")
+        want = sw_moment_approx_sq(load_csv(a), load_csv(b))
+        assert fields[:4] == ["raw-moment", repr(want), repr(math.sqrt(want)), "0"]
+        assert int(fields[4]) > 0
 
     def test_zero_projections_is_usage_error(self, dataset_csv, capsys):
         a = dataset_csv("a.csv")

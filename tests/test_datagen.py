@@ -9,12 +9,12 @@ from swkit import (
     FactorConfig,
     FactorFamily,
     NoiseKind,
+    ProjectionLaw,
     factor_hyperparams,
     gen_ar1,
     gen_factors,
     load_csv,
-    sample_gamma_d,
-    sample_sphere,
+    sample_directions,
     save_csv,
 )
 from swkit.errors import DatasetParseError, InvalidSample
@@ -22,28 +22,28 @@ from swkit.errors import DatasetParseError, InvalidSample
 
 class TestSphereSampler:
     def test_unit_norms(self):
-        vs = sample_sphere(7, seed=1, count=500)
+        vs = sample_directions(7, seed=1, count=500)
         np.testing.assert_allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-12)
 
     def test_dimension_one_is_signs(self):
-        vs = sample_sphere(1, seed=2, count=200)
+        vs = sample_directions(1, seed=2, count=200)
         assert set(np.unique(vs)) == {-1.0, 1.0}
 
     def test_second_moment_is_identity_over_d(self):
         d, count = 5, 100_000
-        vs = sample_sphere(d, seed=3, count=count)
+        vs = sample_directions(d, seed=3, count=count)
         outer = vs.T @ vs / count
         np.testing.assert_allclose(outer, np.eye(d) / d, atol=0.01)
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(sample_sphere(4, 9, 50), sample_sphere(4, 9, 50))
-        assert not np.array_equal(sample_sphere(4, 9, 50), sample_sphere(4, 10, 50))
+        np.testing.assert_array_equal(sample_directions(4, 9, 50), sample_directions(4, 9, 50))
+        assert not np.array_equal(sample_directions(4, 9, 50), sample_directions(4, 10, 50))
 
 
 class TestGaussianDirectionSampler:
     def test_moments(self):
         d, count = 8, 100_000
-        vs = sample_gamma_d(d, seed=4, count=count)
+        vs = sample_directions(d, seed=4, count=count, law=ProjectionLaw.GAUSSIAN_SCALED)
         assert abs(vs.mean()) <= 0.005
         sq_norms = np.einsum("ij,ij->i", vs, vs)
         se = sq_norms.std(ddof=1) / math.sqrt(count)
@@ -52,7 +52,9 @@ class TestGaussianDirectionSampler:
         np.testing.assert_allclose((math.sqrt(d) * vs).var(axis=0), 1.0, atol=0.05)
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(sample_gamma_d(3, 5, 20), sample_gamma_d(3, 5, 20))
+        law = ProjectionLaw.GAUSSIAN_SCALED
+        np.testing.assert_array_equal(sample_directions(3, 5, 20, law),
+                                      sample_directions(3, 5, 20, law))
 
 
 class TestFactorGenerator:

@@ -26,6 +26,7 @@ from swkit import (
     moment_stats,
     monte_carlo_sw_pp,
     project,
+    sample_directions,
     sw2_gaussian_iso_closed,
     sw_hat,
     sw_moment_approx_sq,
@@ -139,6 +140,19 @@ class TestMonteCarlo:
                 want = wasserstein_1d_pp(project(mu, theta), project(nu, theta), p)
                 assert per[l] == pytest.approx(want, rel=1e-12)
             assert est.value_sq == pytest.approx(float(np.mean(per)), rel=0, abs=0)
+
+    def test_sampler_rows_are_the_published_stream_directions(self):
+        # the same replay as above: row l of the public sampler is direction l
+        seed, L, d = 99, 5, 4
+        for law in ProjectionLaw:
+            dirs = sample_directions(d, seed, L, law)
+            for l in range(L):
+                g = swrng.substream(seed, l).standard_normal(d)
+                theta = g / np.linalg.norm(g) if law is ProjectionLaw.SPHERE_UNIFORM \
+                    else g / math.sqrt(d)
+                np.testing.assert_array_equal(dirs[l], theta)
+            np.testing.assert_array_equal(sample_directions(d, seed, L - 2, law, start=2),
+                                          dirs[2:])
 
     def test_worker_count_never_changes_bits(self):
         mu = make_dist(20, 60, 5)
