@@ -16,6 +16,8 @@ import sys
 from . import bench, datagen
 from .errors import SwkitError
 from .estimators import (
+    PAIR_BUDGET_DEFAULT,
+    PAIR_FULL_LIMIT,
     Method,
     SwEstimate,
     autocov_decay,
@@ -91,7 +93,11 @@ def build_parser() -> _Parser:
     diag = sub.add_parser("diagnostics", help="moment diagnostics of one CSV dataset")
     diag.add_argument("file", help="dataset (CSV, one sample per row)")
     diag.add_argument("--pair-budget", type=_pair_budget, default="auto",
-                      help="pairs for the inner-product moments: int, 'all' or 'auto'")
+                      help="pairs for the inner-product moments beta1/beta2: 'auto' "
+                           f"(default) is exact over all n^2 pairs up to n = "
+                           f"{PAIR_FULL_LIMIT} and samples {PAIR_BUDGET_DEFAULT} pairs "
+                           "beyond; 'all' is always exact; an integer samples that "
+                           "many pairs")
     diag.add_argument("--seed", type=int, default=0, help="seed for pair subsampling")
     diag.set_defaults(func=cmd_diagnostics)
 

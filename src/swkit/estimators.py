@@ -61,10 +61,19 @@ from .errors import (
 # estimates (BLAS and reduction shapes would differ).
 PROJECTION_BLOCK = 1024
 
-# Full pair enumeration for the inner-product moments is used up to this n;
-# beyond it the default is seeded subsampling with PAIR_BUDGET_DEFAULT pairs.
-PAIR_FULL_LIMIT = 4000
+# Exact enumeration of all n^2 pairs for the inner-product moments is the
+# default up to this n; beyond it the default is seeded subsampling of
+# PAIR_BUDGET_DEFAULT pairs. With one BLAS thread, exact enumeration stopped
+# being cheaper than that sampling near n = 10,800 at d = 1 (a one-column GEMM
+# is slow), 14,000 at d = 2 and 17,000 or more at d >= 3.
+PAIR_FULL_LIMIT = 10_000
 PAIR_BUDGET_DEFAULT = 10_000_000
+# Rows of a square tile of the exact Gram pass: one tile's block of inner
+# products is _PAIR_TILE^2 floats (2 MB) whatever n and d are.
+_PAIR_TILE = 512
+# Pairs per chunk of the sampled path. Chunk c draws its indices from the
+# stream (seed, "moment-pairs", c), so memory is O(chunk * d) for any budget;
+# changing the size changes the sampled values.
 _PAIR_CHUNK = 8192
 
 
@@ -376,10 +385,12 @@ def moment_stats(
     """Empirical moment diagnostics of a dataset.
 
     ``pair_budget`` controls the inner-product moments beta1/beta2: ``"all"``
-    enumerates all n^2 ordered pairs through blockwise Gram products,
-    ``"auto"`` does so up to n = 4000 and falls back to 10^7 seeded uniform
-    pairs beyond that, and an integer requests that many sampled pairs. beta1
-    and beta2 always come from the same pairs, preserving beta1 <= beta2.
+    enumerates all n^2 ordered pairs exactly, from the upper triangle of the
+    Gram matrix in square tiles of bounded size; ``"auto"`` does so up to
+    n = PAIR_FULL_LIMIT (10^4), where exact enumeration costs no more than
+    sampling, and beyond that draws 10^7 seeded independent uniform pairs; an
+    integer requests that many sampled pairs. beta1 and beta2 always come
+    from the same pairs, preserving beta1 <= beta2.
     """
     data = mu.data
     n = mu.n
@@ -393,20 +404,27 @@ def moment_stats(
     sq_sum = 0.0
     if budget is None:
         pair_count = n * n
-        for lo in range(0, n, _PAIR_CHUNK):
-            gram = data[lo : lo + _PAIR_CHUNK] @ data.T
-            abs_sum += float(np.abs(gram).sum())
-            gram *= gram
-            sq_sum += float(gram.sum())
+        # Gram tile (I, J) with J > I stands for itself and its transpose.
+        for lo in range(0, n, _PAIR_TILE):
+            rows = data[lo : lo + _PAIR_TILE]
+            for col in range(lo, n, _PAIR_TILE):
+                gram = rows @ data[col : col + _PAIR_TILE].T
+                weight = 1.0 if col == lo else 2.0
+                sq_sum += weight * float(np.einsum("ij,ij->", gram, gram))
+                abs_sum += weight * float(np.abs(gram, out=gram).sum())
     else:
         pair_count = budget
-        g = rng.substream(seed, "moment-pairs")
-        left = g.integers(0, n, size=budget)
-        right = g.integers(0, n, size=budget)
-        for lo in range(0, budget, _PAIR_CHUNK):
-            prods = np.einsum(
-                "ij,ij->i", data[left[lo : lo + _PAIR_CHUNK]], data[right[lo : lo + _PAIR_CHUNK]]
-            )
+        # np.take into two reused buffers gathered rows 1.4-7x faster than
+        # fancy indexing, which allocates a new array per gather. mode="clip"
+        # skips take's buffered bounds check; drawn indices are in range.
+        left = np.empty((min(_PAIR_CHUNK, budget), mu.dim))
+        right = np.empty_like(left)
+        for chunk, lo in enumerate(range(0, budget, _PAIR_CHUNK)):
+            size = min(_PAIR_CHUNK, budget - lo)
+            g = rng.substream(seed, "moment-pairs", chunk)
+            np.take(data, g.integers(0, n, size=size), axis=0, out=left[:size], mode="clip")
+            np.take(data, g.integers(0, n, size=size), axis=0, out=right[:size], mode="clip")
+            prods = np.einsum("ij,ij->i", left[:size], right[:size])
             abs_sum += float(np.abs(prods).sum())
             sq_sum += float((prods * prods).sum())
     beta1 = abs_sum / pair_count
@@ -637,8 +655,8 @@ def autocov_decay(
     cov_sq = np.empty(max_lag + 1)
     for k in lags:
         width = d - k
-        cov[k] = float((x[:, :width] * x[:, k:]).sum()) / ((n - 1) * width)
-        cov_sq[k] = float((x2[:, :width] * x2[:, k:]).sum()) / ((n - 1) * width)
+        cov[k] = float(np.einsum("ij,ij->", x[:, :width], x[:, k:])) / ((n - 1) * width)
+        cov_sq[k] = float(np.einsum("ij,ij->", x2[:, :width], x2[:, k:])) / ((n - 1) * width)
     return lags, cov, cov_sq
 
 

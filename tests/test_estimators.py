@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,14 @@ from swkit import (
     xi_d,
 )
 from swkit import rng as swrng
-from swkit.estimators import _CENTER_BLOCK_BYTES
+from swkit.estimators import (
+    _CENTER_BLOCK_BYTES,
+    _PAIR_CHUNK,
+    _PAIR_TILE,
+    PAIR_BUDGET_DEFAULT,
+    PAIR_FULL_LIMIT,
+    _resolve_pair_count,
+)
 from swkit.errors import (
     DimMismatch,
     InsufficientSamples,
@@ -328,6 +336,61 @@ class TestMomentStats:
             moment_stats(make_dist(1, 5, 2), 0)
 
 
+class TestPairPaths:
+    """The tiled exact Gram pass, the auto limit and the chunked sampled path."""
+
+    @pytest.mark.parametrize("n", [1, _PAIR_TILE - 1, _PAIR_TILE, _PAIR_TILE + 1,
+                                   2 * _PAIR_TILE + 1])
+    def test_tiled_enumeration_matches_full_gram(self, n):
+        dist = make_dist(67, n, 3, shift=0.5)
+        stats = moment_stats(dist, "all")
+        gram = dist.data @ dist.data.T
+        assert stats.pair_count_used == n * n
+        assert stats.beta1 == pytest.approx(float(np.abs(gram).mean()), rel=1e-12)
+        assert stats.beta2 == pytest.approx(float(np.sqrt((gram ** 2).mean())), rel=1e-12)
+
+    def test_auto_limit_boundary(self):
+        assert PAIR_FULL_LIMIT >= 10_000
+        assert _resolve_pair_count(PAIR_FULL_LIMIT, "auto") is None
+        assert _resolve_pair_count(PAIR_FULL_LIMIT + 1, "auto") == PAIR_BUDGET_DEFAULT
+
+    def test_auto_is_exact_at_paper_scale(self):
+        dist = make_dist(68, 10_000, 2)
+        auto, full = moment_stats(dist), moment_stats(dist, "all")
+        assert auto.pair_count_used == 10 ** 8
+        assert (auto.beta1, auto.beta2) == (full.beta1, full.beta2)
+
+    def test_sampled_chunks_replay_their_streams(self):
+        # chunk c of the budget draws its left then right indices from the
+        # stream (seed, "moment-pairs", c)
+        dist = make_dist(69, 300, 4)
+        budget, seed = _PAIR_CHUNK + 7, 11
+        abs_sum = sq_sum = 0.0
+        for chunk, size in enumerate((_PAIR_CHUNK, 7)):
+            g = swrng.substream(seed, "moment-pairs", chunk)
+            left, right = g.integers(0, 300, size=size), g.integers(0, 300, size=size)
+            prods = np.einsum("ij,ij->i", dist.data[left], dist.data[right])
+            abs_sum += float(np.abs(prods).sum())
+            sq_sum += float((prods * prods).sum())
+        stats = moment_stats(dist, budget, seed=seed)
+        assert stats.pair_count_used == budget
+        assert stats.beta1 == pytest.approx(abs_sum / budget, rel=1e-14)
+        assert stats.beta2 == pytest.approx(math.sqrt(sq_sum / budget), rel=1e-14)
+
+    @pytest.mark.parametrize("budget", ["auto", 10_000_000])
+    def test_peak_memory_is_bounded(self, budget):
+        # The old paths held 16 bytes of indices per sampled pair (160 MB at
+        # 10^7 pairs) or an 8192-row Gram slab; neither may come back.
+        dist = make_dist(65, 5000, 50)
+        tracemalloc.start()
+        try:
+            moment_stats(dist, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 class TestXiAndBounds:
     def test_zero_stats_give_zero(self):
         stats = MomentStats(4, 0.0, np.zeros(4), 0.0, 0.0, 0.0, 16)
@@ -589,6 +652,16 @@ class TestAutocov:
         _, cov, _ = autocov_decay(dist, 3)
         for k in (1, 2, 3):
             assert cov[k] / cov[0] == pytest.approx(alpha ** k, abs=0.05)
+
+    def test_matches_product_sum_reference(self):
+        dist = make_dist(103, 300, 12, shift=3.0, scale=2.0)
+        _, cov, cov_sq = autocov_decay(dist, 11)
+        n, d = dist.n, dist.dim
+        for data, got in ((dist.data, cov), (dist.data ** 2, cov_sq)):
+            x = data - data.mean(axis=0)
+            want = [float((x[:, : d - k] * x[:, k:]).sum()) / ((n - 1) * (d - k))
+                    for k in range(12)]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * abs(want[0]))
 
     def test_lag_bounds_checked(self):
         dist = make_dist(102, 10, 4)

@@ -1,5 +1,6 @@
 """Property tests of the invariances of sliced distances, for ``sw_hat`` and
-for every method of ``estimate()`` at order 2.
+for every method of ``estimate()`` at order 2, and of the exact moment
+statistics of ``moment_stats``.
 
 Translating both inputs by one vector, rotating both by one orthogonal map,
 permuting the rows of either input and swapping the inputs leave the squared
@@ -7,6 +8,10 @@ sliced 2-distance unchanged; scaling both inputs by a multiplies it by a^2.
 Monte Carlo keeps these invariances direction by direction, so they hold for
 any projection count and seed. Values are compared to a tolerance relative to
 the squared size of the data, except where a bit-exact result is promised.
+
+Norms and inner products do not change under a rotation or a reordering of
+the rows, so neither do the exact moment statistics; and for all n^2 pairs
+Cauchy-Schwarz gives beta1 <= beta2 <= m2_raw.
 """
 
 import numpy as np
@@ -15,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from swkit.estimators import PROJECTION_BLOCK, EmpiricalDistribution, Method, estimate, sw_hat
+from swkit.estimators import (
+    _PAIR_TILE,
+    PROJECTION_BLOCK,
+    EmpiricalDistribution,
+    Method,
+    estimate,
+    moment_stats,
+    sw_hat,
+)
 
 L = 64
 SEED = 5
@@ -115,3 +128,50 @@ def test_worker_count_is_bit_exact_at_block_boundaries(num_projections, pair, se
     one, two = (estimate(mu, nu, "mc-sphere", L=num_projections, seed=seed, workers=workers)
                 for workers in (1, 2))
     assert one.value_sq == two.value_sq
+
+
+@st.composite
+def datasets(draw, max_n=2 * _PAIR_TILE + 1, max_d=6):
+    """One Gaussian dataset, shifted and scaled, that may span several Gram
+    tiles; the rows come from a drawn seed so large n stays cheap."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    scale = draw(st.floats(1e-3, 1e3))
+    shift = draw(st.floats(-100.0, 100.0))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g.standard_normal((n, d)) * scale + shift * np.linspace(-1.0, 1.0, d)
+
+
+def moments(x):
+    return moment_stats(EmpiricalDistribution(x), "all")
+
+
+def assert_same_moments(got, want):
+    for name in ("m2_raw", "beta1", "beta2"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
+    # alpha averages differences of squared norms, so its rounding error is
+    # relative to the squared norms, not to alpha itself
+    assert abs(got.alpha - want.alpha) <= 1e-12 * want.m2_raw, (got.alpha, want.alpha)
+
+
+@SETTINGS
+@given(x=datasets(), seed=st.integers(0, 2**32 - 1))
+def test_moment_stats_row_permutation(x, seed):
+    perm = np.random.default_rng(seed).permutation(len(x))
+    assert_same_moments(moments(x[perm]), moments(x))
+
+
+@SETTINGS
+@given(x=datasets(), seed=st.integers(0, 2**32 - 1))
+def test_moment_stats_rotation(x, seed):
+    d = x.shape[1]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    assert_same_moments(moments(x @ q.T), moments(x))
+
+
+@SETTINGS
+@given(x=datasets())
+def test_moment_stats_cauchy_schwarz_chain(x):
+    stats = moments(x)
+    assert stats.beta1 <= stats.beta2 * (1 + 1e-12)
+    assert stats.beta2 <= stats.m2_raw * (1 + 1e-12)
