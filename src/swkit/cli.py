@@ -17,11 +17,11 @@ from . import bench, datagen
 from .errors import SwkitError
 from .estimators import (
     PAIR_BUDGET_DEFAULT,
-    PAIR_FULL_LIMIT,
     Method,
     SwEstimate,
     autocov_decay,
     estimate,
+    exact_pair_limit,
     moment_stats,
     xi_d,
 )
@@ -94,10 +94,11 @@ def build_parser() -> _Parser:
     diag.add_argument("file", help="dataset (CSV, one sample per row)")
     diag.add_argument("--pair-budget", type=_pair_budget, default="auto",
                       help="pairs for the inner-product moments beta1/beta2: 'auto' "
-                           f"(default) is exact over all n^2 pairs up to n = "
-                           f"{PAIR_FULL_LIMIT} and samples {PAIR_BUDGET_DEFAULT} pairs "
-                           "beyond; 'all' is always exact; an integer samples that "
-                           "many pairs")
+                           "(default) is exact over all n^2 pairs up to an n that grows "
+                           f"with the dimension d ({exact_pair_limit(1)} at d = 1, "
+                           f"{exact_pair_limit(2)} at d = 2, {exact_pair_limit(1000)} at "
+                           f"d = 1000) and samples {PAIR_BUDGET_DEFAULT} pairs beyond; "
+                           "'all' is always exact; an integer samples that many pairs")
     diag.add_argument("--seed", type=int, default=0, help="seed for pair subsampling")
     diag.set_defaults(func=cmd_diagnostics)
 

@@ -19,6 +19,7 @@ the sampler Monte Carlo itself uses.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 import tempfile
@@ -200,41 +201,90 @@ def save_csv(dist: EmpiricalDistribution, path, header: bool = False) -> None:
     atomic_write(path, write)
 
 
+def _parse_rows(lines) -> np.ndarray:
+    """Parse CSV lines into an (rows, columns) float64 array with numpy's C
+    float parser. This is the one definition of a numeric field: header
+    detection, the bulk parse and the error locator of :func:`load_csv` all
+    call it. Raises ValueError on a non-numeric field or a ragged row."""
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
+def _data_lines(lines):
+    """Yield ``(file line number, line)`` for each data row of a CSV file.
+
+    Blank, whitespace-only and '#' comment lines are skipped, and so is the
+    first remaining line if it does not parse as a numeric row (a header).
+    """
+    first = True
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if first:
+            first = False
+            try:
+                _parse_rows([line])
+            except ValueError:
+                continue
+        yield lineno, line
+
+
+def _utf8_lines(fh, path):
+    """Lines of ``fh``, opened with ``errors="surrogateescape"``; raises
+    :class:`DatasetParseError` at the first line holding a byte that is not
+    UTF-8."""
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DatasetParseError(path, lineno, "not UTF-8 text") from None
+        yield line
+
+
+def _raise_first_fault(path) -> None:
+    """Error path of :func:`load_csv`: re-read the file and raise
+    :class:`DatasetParseError` at the first line that is not UTF-8 text or
+    whose row is non-numeric, differs in width from the first row or holds
+    a non-finite value."""
+    width = None
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in _data_lines(_utf8_lines(fh, path)):
+            try:
+                row = _parse_rows([line])
+            except ValueError:
+                raise DatasetParseError(
+                    path, lineno, f"non-numeric field in {line.strip()!r}") from None
+            if width is None:
+                width = row.shape[1]
+            elif row.shape[1] != width:
+                raise DatasetParseError(
+                    path, lineno, f"expected {width} columns, found {row.shape[1]}")
+            if not np.isfinite(row).all():
+                raise DatasetParseError(path, lineno, "non-finite value")
+
+
 def load_csv(path) -> EmpiricalDistribution:
     """Read a dataset written by :func:`save_csv` (or any numeric CSV).
 
-    Comment lines starting with '#' are skipped; a single leading non-numeric
-    line is treated as a header. Malformed content raises
-    :class:`DatasetParseError` carrying the file and line number.
+    The file must be UTF-8 text (a leading byte-order mark is skipped) with
+    one sample per line and fields separated by commas. Blank lines and
+    full-line '#' comments are skipped, and one optional header line is
+    dropped: the first remaining line, if it is not numeric. A numeric field
+    is whatever numpy's float parser accepts, surrounding whitespace
+    allowed; Python-only spellings such as ``1_0`` are rejected. Rows must
+    all have the same width and hold finite values. Any violation raises
+    :class:`DatasetParseError` with the file and the line of the first
+    fault; a file without data rows raises it with line 0.
     """
     path = os.fspath(path)
-    rows = []
-    width = None
-    first_content = True
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split(",")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError:
-                if first_content:  # header line
-                    first_content = False
-                    continue
-                raise DatasetParseError(path, lineno, f"non-numeric field in {text!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetParseError(
-                    path, lineno, f"expected {width} columns, found {len(row)}"
-                )
-            rows.append(row)
-            first_content = False
-    if not rows:
-        raise DatasetParseError(path, 0, "no data rows")
     try:
-        return EmpiricalDistribution(np.array(rows))
-    except InvalidSample as exc:
-        raise DatasetParseError(path, 0, str(exc))
+        with open(path, encoding="utf-8-sig") as fh:
+            rows = _data_lines(fh)
+            first = next(rows, None)
+            if first is None:
+                raise DatasetParseError(path, 0, "no data rows")
+            data = _parse_rows(line for _, line in itertools.chain([first], rows))
+        return EmpiricalDistribution(data)
+    except (ValueError, InvalidSample):  # UnicodeDecodeError is a ValueError
+        _raise_first_fault(path)
+        raise

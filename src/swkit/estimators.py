@@ -61,11 +61,9 @@ from .errors import (
 # estimates (BLAS and reduction shapes would differ).
 PROJECTION_BLOCK = 1024
 
-# Exact enumeration of all n^2 pairs for the inner-product moments is the
-# default up to this n; beyond it the default is seeded subsampling of
-# PAIR_BUDGET_DEFAULT pairs. With one BLAS thread, exact enumeration stopped
-# being cheaper than that sampling near n = 10,800 at d = 1 (a one-column GEMM
-# is slow), 14,000 at d = 2 and 17,000 or more at d >= 3.
+# "auto" enumerates all n^2 pairs for the inner-product moments up to
+# exact_pair_limit(d) and samples PAIR_BUDGET_DEFAULT pairs beyond it. Every
+# n <= PAIR_FULL_LIMIT is exact at every d.
 PAIR_FULL_LIMIT = 10_000
 PAIR_BUDGET_DEFAULT = 10_000_000
 # Rows of a square tile of the exact Gram pass: one tile's block of inner
@@ -365,10 +363,28 @@ def gaussian_projection_constant(d: int, p: float) -> float:
     return math.sqrt(2.0 / d) * math.exp(_lgamma_diff(d / 2.0, p / 2.0) / p)
 
 
-def _resolve_pair_count(n: int, pair_budget) -> int | None:
-    """None means full enumeration; otherwise the number of sampled pairs."""
+def exact_pair_limit(d: int) -> int:
+    """Largest n at which ``moment_stats(..., "auto")`` enumerates all pairs
+    in dimension d.
+
+    Exact enumeration costs O(n^2 d) in Gram tiles, sampling
+    PAIR_BUDGET_DEFAULT pairs O(d) per pair in row gathers, and a gathered
+    coordinate costs far more than a GEMM one, so the crossover grows with d.
+    With one BLAS thread it was near n = 10,200-10,800 at d = 1 (a
+    one-column GEMM is slow), 14,000-16,000 at d = 2, 22,000 at d = 10,
+    31,000 at d = 50 and 41,000-45,000 at d >= 100. Above d = 1 the limit
+    follows the fitted cost ratio 40,000 * sqrt((d + 4) / (d + 40)).
+    """
+    if d == 1:
+        return PAIR_FULL_LIMIT
+    return max(PAIR_FULL_LIMIT, int(40_000 * math.sqrt((d + 4) / (d + 40))))
+
+
+def _resolve_pair_count(n: int, pair_budget, d: int = 1) -> int | None:
+    """None means full enumeration; otherwise the number of sampled pairs.
+    ``d`` defaults to 1, the dimension with the lowest "auto" limit."""
     if pair_budget == "auto":
-        return None if n <= PAIR_FULL_LIMIT else PAIR_BUDGET_DEFAULT
+        return None if n <= exact_pair_limit(d) else PAIR_BUDGET_DEFAULT
     if pair_budget == "all":
         return None
     budget = int(pair_budget)
@@ -387,8 +403,9 @@ def moment_stats(
     ``pair_budget`` controls the inner-product moments beta1/beta2: ``"all"``
     enumerates all n^2 ordered pairs exactly, from the upper triangle of the
     Gram matrix in square tiles of bounded size; ``"auto"`` does so up to
-    n = PAIR_FULL_LIMIT (10^4), where exact enumeration costs no more than
-    sampling, and beyond that draws 10^7 seeded independent uniform pairs; an
+    n = exact_pair_limit(d), where exact enumeration costs no more than
+    sampling (10^4 at d = 1, rising to about 39,000 at d = 1000), and beyond
+    that draws 10^7 seeded independent uniform pairs; an
     integer requests that many sampled pairs. beta1 and beta2 always come
     from the same pairs, preserving beta1 <= beta2.
     """
@@ -399,7 +416,7 @@ def moment_stats(
     alpha = float(np.mean(np.abs(sq_norms - m2_raw)))
     mean = data.mean(axis=0)
 
-    budget = _resolve_pair_count(n, pair_budget)
+    budget = _resolve_pair_count(n, pair_budget, mu.dim)
     abs_sum = 0.0
     sq_sum = 0.0
     if budget is None:

@@ -158,6 +158,13 @@ class TestEstimate:
         assert code == 2
         assert "bad.csv:2" in err
 
+    def test_non_utf8_file_is_runtime_error_with_line(self, capsys, tmp_path):
+        bad = tmp_path / "bin.csv"
+        bad.write_bytes(b"1.0,2.0\n\xff\xfe,3\n")
+        code, _, err = run_cli(capsys, ["estimate", str(bad), str(bad)])
+        assert code == 2
+        assert f"{bad}:2: not UTF-8 text" in err
+
     def test_dim_mismatch_is_runtime_error(self, dataset_csv, capsys):
         a = dataset_csv("a.csv", d=3)
         b = dataset_csv("b.csv", d=5)

@@ -230,3 +230,76 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(DatasetParseError):
             load_csv(path)
+
+
+class TestCsvReader:
+    """What load_csv accepts, and the file line it reports for each fault."""
+
+    @staticmethod
+    def load(tmp_path, content: bytes):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        return load_csv(path).data
+
+    @staticmethod
+    def fault(tmp_path, content: bytes) -> DatasetParseError:
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        with pytest.raises(DatasetParseError) as err:
+            load_csv(path)
+        assert err.value.path == str(path)
+        return err.value
+
+    def test_whitespace_only_and_trailing_blank_lines_skipped(self, tmp_path):
+        back = self.load(tmp_path, b"1.0,2.0\n   \n\t\n3.0,4.0\n\n\n")
+        np.testing.assert_array_equal(back, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_crlf_line_endings(self, tmp_path):
+        back = self.load(tmp_path, b"x0,x1\r\n1.5,2.0\r\n3.0,4.5\r\n")
+        np.testing.assert_array_equal(back, [[1.5, 2.0], [3.0, 4.5]])
+
+    def test_header_after_comment_lines(self, tmp_path):
+        back = self.load(tmp_path, b"# source: test\n\n# units: none\nx0,x1\n1.0,2.0\n")
+        np.testing.assert_array_equal(back, [[1.0, 2.0]])
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        back = self.load(tmp_path, b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(back, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("content,want", [(b"1.0\n2.0\n3.0\n", [[1.0], [2.0], [3.0]]),
+                                              (b"1.0,2.0,3.0\n", [[1.0, 2.0, 3.0]]),
+                                              (b"7.5", [[7.5]])])
+    def test_one_column_and_one_row(self, tmp_path, content, want):
+        back = self.load(tmp_path, content)
+        assert back.shape == np.shape(want)
+        np.testing.assert_array_equal(back, want)
+
+    @pytest.mark.parametrize("content,line,reason", [
+        (b"# comment\n\n1.0,2.0\n\n# another\n3.0,oops\n", 6, "non-numeric field"),
+        (b"# comment\nx0,x1\n\n1.0,2.0\n  \n3.0\n", 6, "expected 2 columns, found 1"),
+        # Python's float() took 1_0 as 10; numpy's parser does not
+        (b"1.0,2.0\n\n# comment\n3.0,1_0\n", 4, "non-numeric field"),
+    ])
+    def test_fault_reports_file_line_not_row_index(self, tmp_path, content, line, reason):
+        err = self.fault(tmp_path, content)
+        assert err.line == line
+        assert reason in err.reason
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        err = self.fault(tmp_path, b"# comment\nx0,x1\n\n")
+        assert (err.line, err.reason) == (0, "no data rows")
+
+    def test_non_finite_value_reports_its_line(self, tmp_path):
+        err = self.fault(tmp_path, b"# comment\n1.0,2.0\nnan,3.0\n4.0,inf\n")
+        assert (err.line, err.reason) == (3, "non-finite value")
+
+    @pytest.mark.parametrize("content,line", [(b"1.0,2.0\n\xff\xfe,3\n", 2),
+                                              (b"1.0,2.0\n# caf\xe9\n3.0,4.0\n", 2),
+                                              (b"1.0,2.0\n" * 4000 + b"\xff\n", 4001)])
+    def test_non_utf8_bytes_report_their_line(self, tmp_path, content, line):
+        err = self.fault(tmp_path, content)
+        assert (err.line, err.reason) == (line, "not UTF-8 text")
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        err = self.fault(tmp_path, b"1.0,2.0\n3.0,x\n" + b"1.0,2.0\n" * 4000 + b"\xff\n")
+        assert err.line == 2

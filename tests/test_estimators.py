@@ -46,6 +46,7 @@ from swkit.estimators import (
     PAIR_BUDGET_DEFAULT,
     PAIR_FULL_LIMIT,
     _resolve_pair_count,
+    exact_pair_limit,
 )
 from swkit.errors import (
     DimMismatch,
@@ -353,6 +354,17 @@ class TestPairPaths:
         assert PAIR_FULL_LIMIT >= 10_000
         assert _resolve_pair_count(PAIR_FULL_LIMIT, "auto") is None
         assert _resolve_pair_count(PAIR_FULL_LIMIT + 1, "auto") == PAIR_BUDGET_DEFAULT
+
+    @pytest.mark.parametrize("n,d,exact", [(10_000, 1, True), (12_000, 1, False),
+                                           (12_000, 1000, True), (10 ** 6, 1000, False)])
+    def test_auto_limit_depends_on_dimension(self, n, d, exact):
+        want = None if exact else PAIR_BUDGET_DEFAULT
+        assert _resolve_pair_count(n, "auto", d) == want
+
+    def test_auto_limit_never_below_floor_and_grows_with_d(self):
+        limits = [exact_pair_limit(d) for d in range(1, 2001)]
+        assert min(limits) == limits[0] == PAIR_FULL_LIMIT
+        assert all(a <= b for a, b in zip(limits, limits[1:]))
 
     def test_auto_is_exact_at_paper_scale(self):
         dist = make_dist(68, 10_000, 2)

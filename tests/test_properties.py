@@ -12,14 +12,23 @@ the squared size of the data, except where a bit-exact result is promised.
 Norms and inner products do not change under a rotation or a reordering of
 the rows, so neither do the exact moment statistics; and for all n^2 pairs
 Cauchy-Schwarz gives beta1 <= beta2 <= m2_raw.
+
+Writing a dataset with ``save_csv`` and reading it back with ``load_csv``
+returns the same bits for any finite values.
+
+Examples are derandomized: every run draws the same ones.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from swkit.datagen import load_csv, save_csv
 from swkit.estimators import (
     _PAIR_TILE,
     PROJECTION_BLOCK,
@@ -33,7 +42,7 @@ from swkit.estimators import (
 L = 64
 SEED = 5
 REL = 1e-9
-SETTINGS = settings(max_examples=20, deadline=None)
+SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 ESTIMATORS = {"sw_hat": lambda mu, nu: sw_hat(mu, nu).value_sq}
 ESTIMATORS.update({
@@ -121,7 +130,7 @@ def test_closed_form_gauss_is_deterministic_bit_for_bit(pair):
 @pytest.mark.parametrize("num_projections", [PROJECTION_BLOCK - 1, PROJECTION_BLOCK,
                                              PROJECTION_BLOCK + 1, 2 * PROJECTION_BLOCK - 1,
                                              2 * PROJECTION_BLOCK + 1])
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=3, deadline=None, derandomize=True)
 @given(pair=pairs(max_n=6, max_d=3), seed=st.integers(0, 2**32 - 1))
 def test_worker_count_is_bit_exact_at_block_boundaries(num_projections, pair, seed):
     mu, nu = (EmpiricalDistribution(a) for a in pair)
@@ -175,3 +184,20 @@ def test_moment_stats_cauchy_schwarz_chain(x):
     stats = moments(x)
     assert stats.beta1 <= stats.beta2 * (1 + 1e-12)
     assert stats.beta2 <= stats.m2_raw * (1 + 1e-12)
+
+
+EXTREMES = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                     [-1.7976931348623157e308, 2.2250738585072009e-308, -5e-324]])
+
+
+@SETTINGS
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=20),
+                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(x=EXTREMES)
+def test_csv_round_trip_is_bit_exact(x):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        save_csv(EmpiricalDistribution(x), path)
+        back = load_csv(path).data
+    assert back.shape == x.shape
+    assert back.view(np.uint64).tolist() == x.view(np.uint64).tolist()
