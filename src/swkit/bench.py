@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from . import rng
 from .core_ot import IsoGaussian, sw2_gaussian_iso_closed
@@ -472,7 +475,8 @@ def _format_value(value) -> str:
 
 
 def config_metadata(cfg: ExperimentConfig) -> dict:
-    """Provenance recorded at the top of a records CSV."""
+    """Provenance recorded at the top of a records CSV: the configuration,
+    then the environment that ran it."""
     return {
         "scenario": cfg.scenario.value,
         "n": cfg.n,
@@ -482,6 +486,11 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
         "reference_L": cfg.reference_L if cfg.reference is ReferenceKind.MONTE_CARLO else "",
         "burn_in": cfg.burn_in,
         "hyperparams": "regenerated-per-run",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "SW_THREADS": os.environ.get("SW_THREADS", "unset"),
     }
 
 

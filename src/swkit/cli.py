@@ -223,10 +223,13 @@ def cmd_convergence(args) -> int:
 def cmd_timing(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    cfg = bench.default_timing_config(
-        paper_scale=args.paper_scale, master_seed=args.seed,
-        d_grid=args.d, n=args.n, runs=args.runs,
-    )
+    try:
+        cfg = bench.default_timing_config(
+            paper_scale=args.paper_scale, master_seed=args.seed,
+            d_grid=args.d, n=args.n, runs=args.runs,
+        )
+    except SwkitError as exc:
+        raise UsageError(str(exc))
     records = bench.run_timing(cfg)
     bench.write_records_csv(records, args.out, metadata=bench.config_metadata(cfg))
     _echo_summary(records, args.summary_out)

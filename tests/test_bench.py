@@ -293,6 +293,22 @@ class TestCsvIo:
         back = bench.read_records_csv(path)
         assert back == records
 
+    def test_metadata_records_environment_and_is_stable(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SW_THREADS", raising=False)
+        cfg = tiny_ar_config()
+        records = run_convergence(cfg)
+        meta = bench.config_metadata(cfg)
+        for key in ("python", "numpy", "scipy", "cpu_count", "SW_THREADS"):
+            assert key in meta
+        assert meta["numpy"] == np.__version__
+        assert meta["SW_THREADS"] == "unset"
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            bench.write_records_csv(records, path, metadata=bench.config_metadata(cfg))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        monkeypatch.setenv("SW_THREADS", "3")
+        assert bench.config_metadata(cfg)["SW_THREADS"] == "3"
+
     def test_alpha_blank_for_factor_scenarios(self, tmp_path):
         cfg = ExperimentConfig(scenario=Scenario.GAUSSIAN_CENTERED, d_grid=(5,), n=20,
                                runs=1, master_seed=1)

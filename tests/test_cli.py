@@ -310,6 +310,14 @@ class TestExperimentCommands:
         assert len(lines) == 5
         assert "deterministic" in stdout
 
+    @pytest.mark.parametrize("flags", [("--n", "0"), ("--d", "10,5")])
+    def test_timing_bad_config_is_usage_error(self, capsys, tmp_path, flags):
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, ["timing", *flags, "--out", str(out)])
+        assert code == 1
+        assert "swkit: error:" in err
+        assert not out.exists()
+
     def test_unwritable_out_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, [
             "convergence", "--scenario", "ar1-gaussian", "--alpha", "0.5", "--runs", "1",

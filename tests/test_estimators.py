@@ -19,6 +19,7 @@ from swkit import (
     autocov_decay,
     center,
     cov_frobenius_sq,
+    estimate,
     fit_iso_gaussian,
     gaussian_projection_constant,
     gen_factors,
@@ -171,6 +172,27 @@ class TestMonteCarlo:
             est, per = monte_carlo_sw_pp(mu, nu, 2500, seed=8, workers=workers)
             assert est.value_sq == base.value_sq
             np.testing.assert_array_equal(per, per_base)
+
+    def test_std_error_is_that_of_the_per_projection_mean(self):
+        mu = make_dist(22, 60, 5)
+        nu = make_dist(23, 60, 5, shift=1.0)
+        for law in ProjectionLaw:
+            for p in (1.0, 2.0, 3.0):
+                est, per = monte_carlo_sw_pp(mu, nu, 1500, p=p, law=law, seed=4)
+                assert est.std_error == float(per.std(ddof=1)) / math.sqrt(1500)
+                assert est.std_error > 0.0
+
+    def test_std_error_is_zero_for_one_projection(self):
+        mu, nu = make_dist(24, 30, 3), make_dist(25, 30, 3, shift=2.0)
+        est, per = monte_carlo_sw_pp(mu, nu, 1, seed=6)
+        assert est.value_sq == per[0] > 0.0
+        assert est.std_error == 0.0
+
+    def test_std_error_bits_do_not_depend_on_workers(self):
+        mu, nu = make_dist(26, 60, 5), make_dist(27, 60, 5, scale=2.0)
+        one, _ = monte_carlo_sw_pp(mu, nu, 2100, seed=9, workers=1)
+        two, _ = monte_carlo_sw_pp(mu, nu, 2100, seed=9, workers=2)
+        assert one.std_error.hex() == two.std_error.hex()
 
     def test_direction_laws_agree_at_order_two(self):
         mu = make_dist(30, 150, 6)
@@ -744,3 +766,21 @@ class TestSwEstimateInvariants:
     def test_value_is_square_root(self):
         est = SwEstimate(4.0, Method.DETERMINISTIC)
         assert est.value == 2.0
+
+    def test_std_error_validation(self):
+        assert SwEstimate(1.0, Method.DETERMINISTIC).std_error == 0.0
+        assert SwEstimate(1.0, Method.MONTE_CARLO_SPHERE, 10, std_error=0.25).std_error == 0.25
+        for bad in (-1e-300, math.inf, math.nan):
+            with pytest.raises(InvalidSample):
+                SwEstimate(1.0, Method.MONTE_CARLO_GAUSSIAN, 10, std_error=bad)
+        for method in Method:
+            if not method.is_mc:
+                with pytest.raises(InvalidSample):
+                    SwEstimate(1.0, method, std_error=0.1)
+
+    def test_deterministic_methods_report_zero_std_error(self):
+        mu, nu = make_dist(28, 40, 4), make_dist(29, 40, 4, shift=1.0)
+        for method in Method:
+            if not method.is_mc:
+                assert estimate(mu, nu, method).std_error == 0.0
+        assert sw_hat(mu, nu).std_error == 0.0

@@ -16,9 +16,16 @@ Cauchy-Schwarz gives beta1 <= beta2 <= m2_raw.
 Writing a dataset with ``save_csv`` and reading it back with ``load_csv``
 returns the same bits for any finite values.
 
+Monte Carlo direction l is drawn from ``rng.substream(seed, l)``. The sampler
+re-keys one Philox generator with keys computed by ``rng.philox_keys``, and
+that must give the same keys, the same generator state and the same
+directions as building each stream, at seeds of up to five 32-bit words and
+indices on both sides of 2^32.
+
 Examples are derandomized: every run draws the same ones.
 """
 
+import math
 import os
 import tempfile
 
@@ -28,14 +35,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from swkit import rng
 from swkit.datagen import load_csv, save_csv
 from swkit.estimators import (
     _PAIR_TILE,
     PROJECTION_BLOCK,
     EmpiricalDistribution,
     Method,
+    ProjectionLaw,
+    _fresh_philox_state,
     estimate,
     moment_stats,
+    sample_directions,
     sw_hat,
 )
 
@@ -201,3 +212,59 @@ def test_csv_round_trip_is_bit_exact(x):
         back = load_csv(path).data
     assert back.shape == x.shape
     assert back.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+
+
+# One to five 32-bit words, and the word boundaries on either side.
+EDGE_SEEDS = [0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**70 + 3, 2**127, 2**130 + 9]
+# Indices around 0, 2^32 (where l gains a second word), 2^40 and the top of 2^64.
+EDGE_STARTS = [0, 2**32 - 3, 2**40 - 3, 2**64 - 6]
+
+
+def published_directions(d, seed, count, law, start):
+    """Directions start..start+count-1, each built from its own stream."""
+    rows = []
+    for l in range(start, start + count):
+        g = rng.substream(seed, l).standard_normal(d)
+        rows.append(g / np.linalg.norm(g) if law is ProjectionLaw.SPHERE_UNIFORM
+                    else g / math.sqrt(d))
+    return np.array(rows)
+
+
+@SETTINGS
+@given(d=st.integers(1, 12), seed=st.integers(0, 2**70), count=st.integers(1, 6),
+       start=st.integers(0, 2**33), law=st.sampled_from(list(ProjectionLaw)))
+@example(d=3, seed=2**70, count=6, start=2**32 - 3, law=ProjectionLaw.SPHERE_UNIFORM)
+@example(d=1, seed=0, count=6, start=2**32 - 3, law=ProjectionLaw.GAUSSIAN_SCALED)
+def test_sample_directions_are_the_per_index_streams(d, seed, count, start, law):
+    got = sample_directions(d, seed, count, law, start=start)
+    want = published_directions(d, seed, count, law, start)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("start", EDGE_STARTS)
+def test_philox_keys_are_seed_sequence_keys(seed, start):
+    keys = rng.philox_keys(seed, start, 6)
+    assert keys.dtype == np.uint64 and keys.shape == (6, 2)
+    for i, key in enumerate(keys):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(start + i,))
+        assert key.tolist() == seq.generate_state(2, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("index", [0, 2**32 - 1, 2**32, 2**40 + 1, 2**64 - 1])
+def test_rekeyed_generator_state_is_the_substream_state(seed, index):
+    bit_generator = np.random.Philox(1)
+    generator = np.random.Generator(bit_generator)
+    generator.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a half-used word
+    generator.standard_normal(5)  # moves the counter and the buffer position
+    bit_generator.state = _fresh_philox_state(rng.philox_keys(seed, index, 1)[0].tolist())
+    stream = rng.substream(seed, index)
+    got, want = bit_generator.state, stream.bit_generator.state
+    assert got.keys() == want.keys()
+    for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+        assert got[name] == want[name], name
+    for name in ("counter", "key"):
+        assert got["state"][name].tolist() == want["state"][name].tolist(), name
+    assert got["buffer"].tolist() == want["buffer"].tolist()
+    assert generator.standard_normal(9).tobytes() == stream.standard_normal(9).tobytes()
