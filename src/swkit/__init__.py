@@ -12,7 +12,6 @@ from .core_ot import (
     Gaussian1d,
     IsoGaussian,
     Samples1d,
-    sort_in_place,
     sw2_gaussian_iso_closed,
     w2_gaussian_1d,
     w2_gaussian_iso,
@@ -41,7 +40,6 @@ from .errors import (
     LengthMismatch,
     NonPositiveError,
     SwkitError,
-    ZeroNormRow,
 )
 from .estimators import (
     EmpiricalDistribution,
@@ -52,19 +50,15 @@ from .estimators import (
     WeakDepParams,
     autocov_decay,
     center,
-    cov_frobenius_sq,
     estimate,
-    fit_iso_gaussian,
     gaussian_projection_constant,
     indep_bound,
-    mean_inverse_sq_norm,
     moment_stats,
     monte_carlo_sw_pp,
     project,
     sample_directions,
     sw_hat,
     sw_moment_approx_sq,
-    sw_translation_decompose,
     theorem2_gap_bound,
     weakdep_bound,
     xi_d,

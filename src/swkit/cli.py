@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import bench, datagen
-from .errors import SwkitError
+from .errors import InvalidOrder, SwkitError
 from .estimators import (
     PAIR_BUDGET_DEFAULT,
     Method,
@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     est.add_argument("--L", type=int, default=1000,
                      help="projection count for Monte Carlo methods")
     est.add_argument("--p", type=float, default=2.0,
-                     help="transport order (Monte Carlo methods only)")
+                     help="transport order; deterministic methods accept only 2")
     est.add_argument("--seed", type=int, default=0, help="RNG seed")
     est.set_defaults(func=cmd_estimate)
 
@@ -168,12 +168,19 @@ def cmd_estimate(args) -> int:
     mu = datagen.load_csv(args.file_a)
     nu = datagen.load_csv(args.file_b)
     workers = _worker_count() if method.is_mc else 1  # only Monte Carlo runs a worker pool
-    _print_estimate(estimate(mu, nu, method, L=args.L, p=args.p, seed=args.seed,
-                             workers=workers))
+    try:
+        est = estimate(mu, nu, method, L=args.L, p=args.p, seed=args.seed, workers=workers)
+    except InvalidOrder as exc:
+        raise UsageError(str(exc))
+    _print_estimate(est)
     return 0
 
 
 def cmd_diagnostics(args) -> int:
+    if isinstance(args.pair_budget, int) and args.pair_budget < 1:
+        raise UsageError(f"--pair-budget must be >= 1, got {args.pair_budget}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     dist = datagen.load_csv(args.file)
     stats = moment_stats(dist, pair_budget=args.pair_budget, seed=args.seed)
     print(f"n={dist.n}")

@@ -32,25 +32,15 @@ def _finite_1d(values) -> np.ndarray:
 
 @dataclass
 class Samples1d:
-    """A batch of real samples with uniform weights, optionally pre-sorted."""
+    """A batch of real samples with uniform weights."""
 
     values: np.ndarray
-    sorted_flag: bool = False
 
     def __post_init__(self):
         self.values = _finite_1d(self.values)
-        if self.sorted_flag and np.any(np.diff(self.values) < 0):
-            raise InvalidSample("sorted_flag set but values are not non-decreasing")
 
     def __len__(self) -> int:
         return self.values.size
-
-
-def sort_in_place(xs: Samples1d) -> Samples1d:
-    """Sort the sample buffer in place and mark it sorted."""
-    xs.values.sort()
-    xs.sorted_flag = True
-    return xs
 
 
 def wasserstein_1d_pp(x: Samples1d, y: Samples1d, p: float = 2.0) -> float:
@@ -66,9 +56,7 @@ def wasserstein_1d_pp(x: Samples1d, y: Samples1d, p: float = 2.0) -> float:
     p = float(p)
     if p < 1.0:
         raise InvalidOrder(f"order p must be >= 1, got {p}")
-    xs = x.values if x.sorted_flag else np.sort(x.values)
-    ys = y.values if y.sorted_flag else np.sort(y.values)
-    diff = np.abs(xs - ys)
+    diff = np.abs(np.sort(x.values) - np.sort(y.values))
     if p == 2.0:
         diff *= diff
     elif p != 1.0:

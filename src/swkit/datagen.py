@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import rng
 from .errors import DatasetParseError, InvalidSample
@@ -155,6 +154,8 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     marginal law is stationary to beyond 64-bit precision for any practical
     burn-in (the transient decays like alpha^burn_in).
     """
+    from scipy.signal import lfilter  # here: it loads in over a second, only AR(1) needs it
+
     steps = cfg.burn_in + cfg.dim
     noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
     out = np.empty((cfg.n, cfg.dim))

@@ -35,10 +35,6 @@ class InsufficientSamples(SwkitError):
     """Operation needs more samples than the dataset provides."""
 
 
-class ZeroNormRow(SwkitError):
-    """A sample with zero Euclidean norm reached an inverse-norm statistic."""
-
-
 class NonPositiveError(SwkitError):
     """A value that must be strictly positive (for a log scale) is not."""
 

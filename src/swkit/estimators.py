@@ -11,9 +11,13 @@ Estimation routes
   centered and replaced by a one-dimensional zero-mean Gaussian whose variance
   is the normalized second moment of the centered data, and the exact
   mean-separation term ``(1/d) * ||mean gap||^2`` is added back. No sampling,
-  no sorting, no tunable projection count.
+  no sorting, no tunable projection count. The value is also the exact
+  sliced distance between the two moment-fit isotropic Gaussians, so one
+  label, ``deterministic``, covers both readings.
 * :func:`estimate` is the one place a :class:`Method` label is mapped to its
-  estimator, so every labelled value comes from one known route.
+  estimator, so every labelled value comes from one known route. Each
+  estimator has exactly one label; the deterministic ones accept only
+  order 2.
 
 Diagnostics
 -----------
@@ -40,12 +44,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import rng
-from .core_ot import IsoGaussian, Samples1d
+from .core_ot import Samples1d
 from .errors import (
     DimMismatch,
     InsufficientSamples,
@@ -53,7 +56,6 @@ from .errors import (
     InvalidOrder,
     InvalidSample,
     LengthMismatch,
-    ZeroNormRow,
 )
 
 # Fixed internal block width for batched projection work. Part of the
@@ -95,7 +97,6 @@ class Method(str, enum.Enum):
     MONTE_CARLO_SPHERE = "mc-sphere", ProjectionLaw.SPHERE_UNIFORM
     MONTE_CARLO_GAUSSIAN = "mc-gaussian", ProjectionLaw.GAUSSIAN_SCALED
     DETERMINISTIC = "deterministic"
-    CLOSED_FORM_GAUSSIAN = "closed-form-gauss"
     RAW_MOMENT = "raw-moment"
 
     @property
@@ -571,13 +572,6 @@ def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
     )
 
 
-def fit_iso_gaussian(dist: EmpiricalDistribution) -> IsoGaussian:
-    """Moment-fit isotropic Gaussian: empirical mean, and the scalar std
-    whose squared value is the normalized centered second moment."""
-    mean, scaled = _mean_and_scaled_m2(dist)
-    return IsoGaussian(dist.dim, mean, math.sqrt(scaled))
-
-
 def sw_moment_approx_sq(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> float:
     """Mean-free variant of :func:`sw_hat`: squared gap between the zero-mean
     1D Gaussian surrogates fitted to the *raw* normalized second moments.
@@ -607,46 +601,26 @@ def estimate(
 
     This is the only code that maps a method to its estimator. Monte Carlo
     methods run :func:`monte_carlo_sw_pp` under their direction law with
-    ``L``, ``p``, ``seed`` and ``workers``; the other methods are
-    deterministic order-2 surrogates and ignore all four:
+    ``L``, ``p``, ``seed`` and ``workers``. The other methods are
+    deterministic order-2 surrogates: they ignore ``L``, ``seed`` and
+    ``workers``, and raise :class:`InvalidOrder` unless p = 2.
 
-    * ``deterministic`` and ``closed-form-gauss`` give :func:`sw_hat`'s
-      value (the closed form between the two moment-fit isotropic
-      Gaussians adds the same two terms),
+    * ``deterministic`` gives :func:`sw_hat`, which is also the exact sliced
+      distance between the two moment-fit isotropic Gaussians,
     * ``raw-moment`` gives :func:`sw_moment_approx_sq`.
     """
     method = Method(method)
     if method.is_mc:
         est, _ = monte_carlo_sw_pp(mu, nu, L, p=p, law=method.law, seed=seed, workers=workers)
         return est
+    if float(p) != 2.0:
+        raise InvalidOrder(f"method {method.value} is an order-2 surrogate, got p={p}")
     t0 = time.perf_counter_ns()
     if method is Method.RAW_MOMENT:
         value_sq = sw_moment_approx_sq(mu, nu)
     else:
         value_sq = sw_hat(mu, nu).value_sq
     return SwEstimate(value_sq=value_sq, method=method, wall_time_ns=time.perf_counter_ns() - t0)
-
-
-def sw_translation_decompose(
-    mu: EmpiricalDistribution,
-    nu: EmpiricalDistribution,
-    estimator: Callable[[EmpiricalDistribution, EmpiricalDistribution], float | SwEstimate],
-) -> tuple[float, float, float]:
-    """Split a squared sliced 2-distance into centered and mean parts.
-
-    ``estimator`` is applied to the centered pair and may return a float or an
-    :class:`SwEstimate`; the mean part is the exact ``||mean gap||^2 / d``.
-    Returns (total, centered_part, mean_part) with total their sum.
-    """
-    if mu.dim != nu.dim:
-        raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
-    mean_mu, centered_mu = center(mu)
-    mean_nu, centered_nu = center(nu)
-    delta = mean_mu - mean_nu
-    mean_part = float(delta @ delta) / mu.dim
-    result = estimator(centered_mu, centered_nu)
-    centered_part = result.value_sq if isinstance(result, SwEstimate) else float(result)
-    return centered_part + mean_part, centered_part, mean_part
 
 
 def indep_bound(d: int, max_var: float, max_var_sq: float) -> float:
@@ -702,26 +676,3 @@ def autocov_decay(
         cov_sq[k] = float(np.einsum("ij,ij->", x2[:, :width], x2[:, k:])) / ((n - 1) * width)
     return lags, cov, cov_sq
 
-
-def cov_frobenius_sq(batch: EmpiricalDistribution) -> float:
-    """Squared Frobenius norm of the empirical covariance matrix of the rows
-    (denominator n - 1). Uses the n x n Gram matrix when d > n, since the
-    two products share singular values."""
-    if batch.n < 2:
-        raise InsufficientSamples("covariance needs at least 2 samples")
-    x = batch.data - batch.data.mean(axis=0)
-    denom = batch.n - 1
-    if batch.dim <= batch.n:
-        c = x.T @ x
-        return float((c * c).sum()) / (denom * denom)
-    g = x @ x.T
-    return float((g * g).sum()) / (denom * denom)
-
-
-def mean_inverse_sq_norm(batch: EmpiricalDistribution) -> float:
-    """Mean of 1 / ||row||^2. Rows with exactly zero norm are rejected rather
-    than clamped, so a degenerate batch fails loudly."""
-    sq = np.einsum("ij,ij->i", batch.data, batch.data)
-    if np.any(sq == 0.0):
-        raise ZeroNormRow("a row has zero norm; inverse squared norm undefined")
-    return float(np.mean(1.0 / sq))

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import swkit
 from swkit.cli import main
 from swkit.datagen import FactorConfig, FactorFamily, gen_factors, load_csv, save_csv
 from swkit.estimators import sw_moment_approx_sq
@@ -59,6 +63,18 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "a.csv", "b.csv", "--bogus"])
         assert exc.value.code == 1
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy_signal(self):
+        # A fresh interpreter, so modules other tests loaded do not count.
+        src = os.path.dirname(os.path.dirname(swkit.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import swkit, swkit.cli, swkit.bench; "
+                "print('scipy.signal' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code, src],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestWorkerPoolEnv:
@@ -119,12 +135,23 @@ class TestEstimate:
         # generous cap on 3 combined standard errors for these sizes
         assert abs(vals["mc-sphere"] - vals["mc-gaussian"]) <= 0.2 * max(vals.values())
 
-    def test_closed_form_gauss_matches_deterministic(self, dataset_csv, capsys):
+    def test_closed_form_gauss_is_invalid_choice(self, dataset_csv, capsys):
         a, b = dataset_csv("a.csv", seed=5), dataset_csv("b.csv", seed=6)
-        _, out_det, _ = run_cli(capsys, ["estimate", a, b, "--method", "deterministic"])
-        _, out_cf, _ = run_cli(capsys, ["estimate", a, b, "--method", "closed-form-gauss"])
-        assert out_cf.split(",")[1:4] == out_det.split(",")[1:4]
-        assert out_cf.split(",")[0] == "closed-form-gauss"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", a, b, "--method", "closed-form-gauss"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'closed-form-gauss'" in captured.err
+
+    @pytest.mark.parametrize("method", ["deterministic", "raw-moment"])
+    def test_deterministic_order_other_than_two_is_usage_error(self, dataset_csv, capsys,
+                                                                method):
+        a, b = dataset_csv("a.csv", seed=5), dataset_csv("b.csv", seed=6)
+        code, out, err = run_cli(capsys, ["estimate", a, b, "--method", method, "--p", "1"])
+        assert code == 1
+        assert out == ""
+        assert "p=1.0" in err
 
     def test_raw_moment_row(self, dataset_csv, capsys):
         a, b = dataset_csv("a.csv", seed=5), dataset_csv("b.csv", seed=6)
@@ -209,6 +236,22 @@ class TestDiagnostics:
         with pytest.raises(SystemExit) as exc:
             main(["diagnostics", path, "--pair-budget", "soon"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_usage_error(self, dataset_csv, capsys, budget):
+        path = dataset_csv("a.csv")
+        code, out, err = run_cli(capsys, ["diagnostics", path, "--pair-budget", budget])
+        assert code == 1
+        assert out == ""
+        assert "--pair-budget" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--pair-budget", "100"]])
+    def test_negative_seed_usage_error(self, dataset_csv, capsys, extra):
+        path = dataset_csv("a.csv")
+        code, out, err = run_cli(capsys, ["diagnostics", path, "--seed", "-1", *extra])
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
 
 
 class TestGenerate:

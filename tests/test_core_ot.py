@@ -8,7 +8,6 @@ from swkit import (
     Gaussian1d,
     IsoGaussian,
     Samples1d,
-    sort_in_place,
     sw2_gaussian_iso_closed,
     w2_gaussian_1d,
     w2_gaussian_iso,
@@ -29,19 +28,6 @@ def brute_force_pp(x, y, p):
 
 
 class TestSamples1d:
-    def test_sort_permutation(self):
-        xs = sort_in_place(Samples1d([3.0, 1.0, 2.0]))
-        assert xs.sorted_flag
-        np.testing.assert_array_equal(xs.values, [1.0, 2.0, 3.0])
-
-    def test_sort_singleton(self):
-        xs = sort_in_place(Samples1d([5.0]))
-        np.testing.assert_array_equal(xs.values, [5.0])
-
-    def test_sort_keeps_duplicates(self):
-        xs = sort_in_place(Samples1d([2.0, 2.0, 1.0]))
-        np.testing.assert_array_equal(xs.values, [1.0, 2.0, 2.0])
-
     def test_nan_rejected(self):
         with pytest.raises(InvalidSample):
             Samples1d([1.0, math.nan])
@@ -53,10 +39,6 @@ class TestSamples1d:
     def test_empty_rejected(self):
         with pytest.raises(InvalidSample):
             Samples1d([])
-
-    def test_sorted_flag_must_be_true(self):
-        with pytest.raises(InvalidSample):
-            Samples1d([2.0, 1.0], sorted_flag=True)
 
 
 class TestWasserstein1d:
@@ -105,12 +87,6 @@ class TestWasserstein1d:
         for p in (1.0, 2.0, 3.0):
             assert wasserstein_1d_pp(Samples1d(x), Samples1d(y), p) == \
                 wasserstein_1d_pp(Samples1d(y), Samples1d(x), p)
-
-    def test_respects_sorted_flag(self):
-        x = sort_in_place(Samples1d([3.0, 1.0, 2.0]))
-        y = Samples1d([0.0, 5.0, 2.0])
-        assert wasserstein_1d_pp(x, y, 2) == \
-            wasserstein_1d_pp(Samples1d([1.0, 2.0, 3.0]), y, 2)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(LengthMismatch):

@@ -18,13 +18,10 @@ from swkit import (
     WeakDepParams,
     autocov_decay,
     center,
-    cov_frobenius_sq,
     estimate,
-    fit_iso_gaussian,
     gaussian_projection_constant,
     gen_factors,
     indep_bound,
-    mean_inverse_sq_norm,
     moment_stats,
     monte_carlo_sw_pp,
     project,
@@ -32,7 +29,6 @@ from swkit import (
     sw2_gaussian_iso_closed,
     sw_hat,
     sw_moment_approx_sq,
-    sw_translation_decompose,
     theorem2_gap_bound,
     w2_gaussian_1d,
     wasserstein_1d_pp,
@@ -46,6 +42,7 @@ from swkit.estimators import (
     _PAIR_TILE,
     PAIR_BUDGET_DEFAULT,
     PAIR_FULL_LIMIT,
+    _mean_and_scaled_m2,
     _resolve_pair_count,
     exact_pair_limit,
 )
@@ -56,7 +53,6 @@ from swkit.errors import (
     InvalidOrder,
     InvalidSample,
     LengthMismatch,
-    ZeroNormRow,
 )
 
 
@@ -538,15 +534,20 @@ class TestSwHat:
 
     def test_mean_free_variant_agrees_on_centered_data(self):
         mu, nu = make_dist(80, 200, 5, shift=3.0), make_dist(81, 200, 5, shift=-1.0)
-        _, cmu = center(mu)
-        _, cnu = center(nu)
+        mean_mu, cmu = center(mu)
+        mean_nu, cnu = center(nu)
+        gap = mean_mu - mean_nu
+        mean_part = float(gap @ gap) / mu.dim
         assert sw_moment_approx_sq(cmu, cnu) == pytest.approx(
-            sw_hat(mu, nu).value_sq - sw_translation_decompose(mu, nu, sw_moment_approx_sq)[2],
-            rel=1e-10)
+            sw_hat(mu, nu).value_sq - mean_part, rel=1e-10)
 
     def test_closed_form_gauss_route_equals_deterministic(self):
         mu, nu = make_dist(82, 300, 7, shift=1.0), make_dist(83, 280, 7, scale=1.7)
-        via_fit = sw2_gaussian_iso_closed(fit_iso_gaussian(mu), fit_iso_gaussian(nu))
+        fits = []
+        for dist in (mu, nu):
+            mean, scaled = _mean_and_scaled_m2(dist)
+            fits.append(IsoGaussian(dist.dim, mean, math.sqrt(scaled)))
+        via_fit = sw2_gaussian_iso_closed(*fits)
         assert via_fit == pytest.approx(sw_hat(mu, nu).value_sq, rel=1e-12)
 
 
@@ -564,15 +565,15 @@ def block_rows(d):
 
 
 class TestCenteredPass:
-    """The single blocked pass behind sw_hat and fit_iso_gaussian against
-    the two-pass reference."""
+    """The single blocked pass behind sw_hat against the two-pass
+    reference."""
 
     def check_fit(self, dist):
         mean, scaled = two_pass_reference(dist.data)
-        fit = fit_iso_gaussian(dist)
-        assert fit.sigma ** 2 == pytest.approx(scaled, rel=1e-12)
+        fit_mean, fit_scaled = _mean_and_scaled_m2(dist)
+        assert fit_scaled == pytest.approx(scaled, rel=1e-12)
         # A mean's rounding error scales with the data, not with the mean.
-        np.testing.assert_allclose(fit.mean, mean, rtol=0.0,
+        np.testing.assert_allclose(fit_mean, mean, rtol=0.0,
                                    atol=1e-14 * float(np.abs(dist.data).max()))
 
     def test_far_from_origin(self):
@@ -600,9 +601,9 @@ class TestCenteredPass:
 
     def test_single_sample(self):
         row = np.random.default_rng(112).standard_normal(6) + 3.0
-        fit = fit_iso_gaussian(EmpiricalDistribution(row.reshape(1, -1)))
-        assert fit.sigma == 0.0
-        np.testing.assert_array_equal(fit.mean, row)
+        fit_mean, fit_scaled = _mean_and_scaled_m2(EmpiricalDistribution(row.reshape(1, -1)))
+        assert fit_scaled == 0.0
+        np.testing.assert_array_equal(fit_mean, row)
 
     def test_constant_dataset(self):
         d = 1000
@@ -610,9 +611,9 @@ class TestCenteredPass:
         row = np.linspace(0.1, 7.3, d)
         dist = EmpiricalDistribution(np.tile(row, (n, 1)))
         assert sw_hat(dist, dist).value_sq == 0.0
-        fit = fit_iso_gaussian(dist)
-        assert fit.sigma == 0.0
-        np.testing.assert_array_equal(fit.mean, row)
+        fit_mean, fit_scaled = _mean_and_scaled_m2(dist)
+        assert fit_scaled == 0.0
+        np.testing.assert_array_equal(fit_mean, row)
 
     def test_block_of_one_row(self):
         d = _CENTER_BLOCK_BYTES // 8 + 1
@@ -622,28 +623,28 @@ class TestCenteredPass:
 
 
 class TestTranslationDecompose:
+    """sw_hat splits into the centered surrogate plus ||mean gap||^2 / d."""
+
     def test_equal_means_all_in_centered_part(self):
         mu = make_dist(90, 100, 4)
         shifted = EmpiricalDistribution(mu.data - mu.data.mean(axis=0))
         nu = make_dist(91, 100, 4)
         nu = EmpiricalDistribution(nu.data - nu.data.mean(axis=0))
-        total, centered_part, mean_part = sw_translation_decompose(
-            shifted, nu, sw_moment_approx_sq)
-        assert mean_part <= 1e-28
-        assert total == pytest.approx(centered_part, rel=1e-12, abs=1e-28)
+        mean_mu, cmu = center(shifted)
+        mean_nu, cnu = center(nu)
+        gap = mean_mu - mean_nu
+        assert float(gap @ gap) / 4 <= 1e-28
+        assert sw_hat(shifted, nu).value_sq == pytest.approx(
+            sw_moment_approx_sq(cmu, cnu), rel=1e-12, abs=1e-28)
 
     def test_identical_shapes_pure_shift(self):
         mu = make_dist(92, 80, 3)
         c = np.array([2.0, -1.0, 4.0])
         nu = EmpiricalDistribution(mu.data + c)
-        total, centered_part, mean_part = sw_translation_decompose(mu, nu, sw_moment_approx_sq)
-        assert centered_part <= 1e-25
-        assert total == pytest.approx(float(c @ c) / 3, rel=1e-10)
-
-    def test_accepts_estimator_returning_sw_estimate(self):
-        mu, nu = make_dist(93, 40, 3), make_dist(94, 40, 3, shift=1.0)
-        total, centered_part, mean_part = sw_translation_decompose(mu, nu, sw_hat)
-        assert total == pytest.approx(centered_part + mean_part, rel=1e-15)
+        _, cmu = center(mu)
+        _, cnu = center(nu)
+        assert sw_moment_approx_sq(cmu, cnu) <= 1e-25
+        assert sw_hat(mu, nu).value_sq == pytest.approx(float(c @ c) / 3, rel=1e-10)
 
     def test_per_projection_identity_exact(self):
         g = np.random.default_rng(95)
@@ -707,53 +708,6 @@ class TestAutocov:
             autocov_decay(EmpiricalDistribution(np.ones((1, 4))), 1)
 
 
-class TestBatchStatistics:
-    def test_identical_rows_have_zero_covariance(self):
-        batch = EmpiricalDistribution(np.tile([1.0, 2.0, 3.0], (5, 1)))
-        assert cov_frobenius_sq(batch) == 0.0
-
-    def test_hand_example(self):
-        batch = EmpiricalDistribution(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        assert cov_frobenius_sq(batch) == 4.0
-
-    def test_row_permutation_invariant(self):
-        data = np.random.default_rng(110).standard_normal((20, 4))
-        value = cov_frobenius_sq(EmpiricalDistribution(data))
-        permuted = cov_frobenius_sq(EmpiricalDistribution(data[::-1]))
-        assert permuted == pytest.approx(value, rel=1e-12)
-
-    def test_gram_branch_matches_direct(self):
-        # d > n triggers the Gram-side computation; compare to the direct one
-        data = np.random.default_rng(111).standard_normal((6, 15))
-        via_gram = cov_frobenius_sq(EmpiricalDistribution(data))
-        x = data - data.mean(axis=0)
-        c = x.T @ x / 5
-        assert via_gram == pytest.approx(float((c * c).sum()), rel=1e-12)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(InsufficientSamples):
-            cov_frobenius_sq(EmpiricalDistribution(np.ones((1, 3))))
-
-    def test_inverse_norm_unit_rows(self):
-        batch = EmpiricalDistribution(np.eye(4))
-        assert mean_inverse_sq_norm(batch) == 1.0
-
-    def test_inverse_norm_hand_value(self):
-        batch = EmpiricalDistribution(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        assert mean_inverse_sq_norm(batch) == pytest.approx(0.625, rel=1e-15)
-
-    def test_inverse_norm_scaling(self):
-        data = np.random.default_rng(112).standard_normal((30, 3))
-        base = mean_inverse_sq_norm(EmpiricalDistribution(data))
-        scaled = mean_inverse_sq_norm(EmpiricalDistribution(4.0 * data))
-        assert scaled == pytest.approx(base / 16.0, rel=1e-12)
-
-    def test_zero_norm_row_rejected(self):
-        batch = EmpiricalDistribution(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ZeroNormRow):
-            mean_inverse_sq_norm(batch)
-
-
 class TestSwEstimateInvariants:
     def test_projection_count_consistency(self):
         with pytest.raises(InvalidSample):
@@ -784,3 +738,14 @@ class TestSwEstimateInvariants:
             if not method.is_mc:
                 assert estimate(mu, nu, method).std_error == 0.0
         assert sw_hat(mu, nu).std_error == 0.0
+
+    def test_deterministic_methods_accept_only_order_two(self):
+        mu, nu = make_dist(30, 40, 4), make_dist(31, 40, 4, shift=1.0)
+        for method in Method:
+            if method.is_mc:
+                assert estimate(mu, nu, method, L=8, p=1.0).method is method
+                continue
+            assert estimate(mu, nu, method, p=2).value_sq == estimate(mu, nu, method).value_sq
+            for p in (1.0, 1.5, 3.0):
+                with pytest.raises(InvalidOrder):
+                    estimate(mu, nu, method, p=p)

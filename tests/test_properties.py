@@ -130,14 +130,6 @@ def test_symmetry_is_bit_exact(name, pair):
     assert value(name, x, y) == value(name, y, x)
 
 
-@SETTINGS
-@given(pair=pairs())
-def test_closed_form_gauss_is_deterministic_bit_for_bit(pair):
-    x, y = pair
-    closed_form = value(Method.CLOSED_FORM_GAUSSIAN.value, x, y)
-    assert closed_form == value(Method.DETERMINISTIC.value, x, y)
-
-
 @pytest.mark.parametrize("num_projections", [PROJECTION_BLOCK - 1, PROJECTION_BLOCK,
                                              PROJECTION_BLOCK + 1, 2 * PROJECTION_BLOCK - 1,
                                              2 * PROJECTION_BLOCK + 1])
