@@ -20,6 +20,11 @@ Determinism: each experiment cell derives its seed from the master seed and
 the cell coordinates, so serial and parallel executions produce identical
 records (wall times aside). Errors are always recorded on the distance scale:
 ``abs_error = |sqrt(estimate_sq) - sqrt(reference_sq)|``.
+
+Schema: the fields of :class:`ResultRecord` and :class:`SummaryRow`, in
+declaration order, are the columns of the records and summary CSVs
+(``RECORD_FIELDS`` and ``SUMMARY_FIELDS`` are derived from them), and
+``_cell_records`` is the one place a record is built.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -65,31 +70,6 @@ TIMING_L_GRID = (100, 1000, 5000)
 DEFAULT_ALPHAS = (0.2, 0.5, 0.8)
 
 _TIMING_REPS = 3
-
-RECORD_FIELDS = (
-    "scenario",
-    "run_id",
-    "d",
-    "n",
-    "alpha",
-    "method",
-    "estimate_sq",
-    "reference_sq",
-    "abs_error",
-    "wall_time_ns",
-    "seed",
-)
-SUMMARY_FIELDS = (
-    "scenario",
-    "d",
-    "method",
-    "mean_error",
-    "p10",
-    "p90",
-    "mean_time_ns",
-    "slope_to_date",
-)
-
 
 class Scenario(str, enum.Enum):
     GAUSSIAN_NONCENTERED = "gaussian-noncentered"
@@ -190,7 +170,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One experiment cell result; ``abs_error`` lives on the distance scale."""
+    """One experiment cell result, one column of the records CSV per field in
+    this order; ``abs_error`` lives on the distance scale."""
 
     scenario: str
     run_id: int
@@ -217,22 +198,8 @@ class SummaryRow:
     slope_to_date: float | None
 
 
-def _make_record(scenario, run_id, d, n, alpha, method, estimate_sq, reference_sq,
-                 wall_time_ns, seed) -> ResultRecord:
-    abs_error = abs(math.sqrt(estimate_sq) - math.sqrt(reference_sq))
-    return ResultRecord(
-        scenario=scenario,
-        run_id=run_id,
-        d=d,
-        n=n,
-        alpha=alpha,
-        method=method,
-        estimate_sq=float(estimate_sq),
-        reference_sq=float(reference_sq),
-        abs_error=abs_error,
-        wall_time_ns=int(wall_time_ns),
-        seed=int(seed),
-    )
+RECORD_FIELDS = tuple(f.name for f in fields(ResultRecord))
+SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
 
 
 def default_convergence_config(
@@ -363,8 +330,12 @@ def _cell_records(cfg, d, alpha_idx, alpha, run, reps) -> list[ResultRecord]:
         for method_idx, spec in enumerate(cfg.methods):
             seed = rng.derive_seed(cell_seed, "method", method_idx)
             value_sq, wall = _timed_estimate(spec, mu, nu, seed, reps)
-            records.append(_make_record(cfg.scenario.value, run, d, cfg.n, alpha, spec.label,
-                                        value_sq, reference_sq, wall, cell_seed))
+            records.append(ResultRecord(
+                scenario=cfg.scenario.value, run_id=run, d=d, n=cfg.n, alpha=alpha,
+                method=spec.label, estimate_sq=value_sq, reference_sq=reference_sq,
+                abs_error=abs(math.sqrt(value_sq) - math.sqrt(reference_sq)),
+                wall_time_ns=wall, seed=cell_seed,
+            ))
     except SwkitError as exc:
         raise _with_cell_context(exc, cfg, d, alpha, run) from exc
     return records
@@ -380,13 +351,11 @@ def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRecor
     are identical to the serial ones (wall times aside).
     """
     cells = list(_cells(cfg))
-    workers = max(1, int(workers))
-    if workers == 1 or len(cells) == 1:
-        per_cell = [_cell_records(cfg, *cell, reps=1) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(lambda cell: _cell_records(cfg, *cell, reps=1), cells))
-    return [rec for records in per_cell for rec in records]
+    workers = min(max(1, int(workers)), len(cells))
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # one worker starts no thread
+        per_cell = (map if workers == 1 else pool.map)(
+            lambda cell: _cell_records(cfg, *cell, reps=1), cells)
+        return [rec for records in per_cell for rec in records]
 
 
 def run_timing(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -502,29 +471,6 @@ def write_records_csv(records, path, metadata: dict | None = None) -> None:
     for rec in records:
         lines.append(",".join(_format_value(getattr(rec, f)) for f in RECORD_FIELDS))
     atomic_write(path, lambda fh: fh.write("\n".join(lines) + "\n"))
-
-
-def read_records_csv(path) -> list[ResultRecord]:
-    records = []
-    with open(path, "r") as fh:
-        header = None
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if header is None:
-                header = tuple(text.split(","))
-                if header != RECORD_FIELDS:
-                    raise InvalidSample(f"unexpected records header: {text}")
-                continue
-            f = text.split(",")
-            records.append(ResultRecord(
-                scenario=f[0], run_id=int(f[1]), d=int(f[2]), n=int(f[3]),
-                alpha=None if f[4] == "" else float(f[4]), method=f[5],
-                estimate_sq=float(f[6]), reference_sq=float(f[7]), abs_error=float(f[8]),
-                wall_time_ns=int(f[9]), seed=int(f[10]),
-            ))
-    return records
 
 
 def write_summary_csv(rows, path) -> None:

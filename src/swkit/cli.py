@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import bench, datagen
+from .core_ot import check_order
 from .errors import InvalidOrder, SwkitError
 from .estimators import (
     PAIR_BUDGET_DEFAULT,
@@ -86,7 +87,8 @@ def build_parser() -> _Parser:
     est.add_argument("--L", type=int, default=1000,
                      help="projection count for Monte Carlo methods")
     est.add_argument("--p", type=float, default=2.0,
-                     help="transport order; deterministic methods accept only 2")
+                     help="transport order, finite and >= 1; deterministic methods "
+                          "accept only 2")
     est.add_argument("--seed", type=int, default=0, help="RNG seed")
     est.set_defaults(func=cmd_estimate)
 
@@ -161,17 +163,16 @@ def cmd_estimate(args) -> int:
     method = Method(args.method)
     if method.is_mc and args.L < 1:
         raise UsageError(f"--L must be >= 1 for Monte Carlo methods, got {args.L}")
-    if args.p < 1.0:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    mu = datagen.load_csv(args.file_a)
-    nu = datagen.load_csv(args.file_b)
-    workers = _worker_count() if method.is_mc else 1  # only Monte Carlo runs a worker pool
     try:
+        check_order(args.p)
+        mu = datagen.load_csv(args.file_a)
+        nu = datagen.load_csv(args.file_b)
+        workers = _worker_count() if method.is_mc else 1  # only Monte Carlo runs a worker pool
         est = estimate(mu, nu, method, L=args.L, p=args.p, seed=args.seed, workers=workers)
     except InvalidOrder as exc:
-        raise UsageError(str(exc))
+        raise UsageError(f"--p: {exc}")
     _print_estimate(est)
     return 0
 

@@ -4,16 +4,19 @@ Estimation routes
 -----------------
 * :func:`monte_carlo_sw_pp` averages one-dimensional transport costs over
   random projection directions, drawn either uniformly on the unit sphere or
-  from the Gaussian law N(0, I/d). At order 2 the two direction laws give the
-  same value in expectation; at other orders they differ by the closed-form
-  factor :func:`gaussian_projection_constant`.
-* :func:`sw_hat` is a deterministic O(nd) approximation: each dataset is
-  centered and replaced by a one-dimensional zero-mean Gaussian whose variance
-  is the normalized second moment of the centered data, and the exact
-  mean-separation term ``(1/d) * ||mean gap||^2`` is added back. No sampling,
-  no sorting, no tunable projection count. The value is also the exact
-  sliced distance between the two moment-fit isotropic Gaussians, so one
-  label, ``deterministic``, covers both readings.
+  from the Gaussian law N(0, I/d). The cost of one direction is
+  :func:`swkit.core_ot.wasserstein_1d_pp` of the two projected samples,
+  computed a block of directions at a time by the same kernel,
+  :func:`swkit.core_ot.sorted_gap_costs`. At order 2 the two direction laws
+  give the same value in expectation; at other orders they differ by the
+  closed-form factor :func:`gaussian_projection_constant`. The order must be
+  finite and at least 1 (:func:`swkit.core_ot.check_order`).
+* :func:`sw_hat` is a deterministic O(nd) approximation: it fits each dataset
+  with the isotropic Gaussian of its mean and normalized centered second
+  moment, and returns :func:`swkit.core_ot.sw2_gaussian_iso_closed` of the
+  two fits, the squared gap of their scales plus the mean-separation term
+  ``(1/d) * ||mean gap||^2``. No sampling, no sorting, no tunable projection
+  count.
 * :func:`estimate` is the one place a :class:`Method` label is mapped to its
   estimator, so every labelled value comes from one known route. Each
   estimator has exactly one label; the deterministic ones accept only
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .core_ot import Samples1d
+from .core_ot import IsoGaussian, Samples1d, check_order, sorted_gap_costs, sw2_gaussian_iso_closed
 from .errors import (
     DimMismatch,
     InsufficientSamples,
@@ -282,20 +285,7 @@ def sample_directions(
 def _projection_block(mu_data, nu_data, p, law, seed, lo, hi):
     """Per-projection transport costs for directions lo..hi-1 (index-keyed streams)."""
     dirs = sample_directions(mu_data.shape[1], seed, hi - lo, law, start=lo)
-    px = dirs @ mu_data.T
-    py = dirs @ nu_data.T
-    for i in range(hi - lo):  # row-wise sorts hit numpy's vectorized path
-        px[i].sort()
-        py[i].sort()
-    diff = px
-    diff -= py
-    if p == 2.0:  # squaring needs no abs: it gives the same bits
-        diff *= diff
-    else:
-        np.abs(diff, out=diff)
-        if p != 1.0:
-            diff **= p
-    return diff.mean(axis=1)
+    return sorted_gap_costs(dirs @ mu_data.T, dirs @ nu_data.T, p)
 
 
 def monte_carlo_sw_pp(
@@ -322,26 +312,19 @@ def monte_carlo_sw_pp(
     L = int(L)
     if L < 1:
         raise InvalidSample(f"projection count L must be >= 1, got {L}")
-    p = float(p)
-    if p < 1.0:
-        raise InvalidOrder(f"order p must be >= 1, got {p}")
-    workers = max(1, int(workers))
+    p = check_order(p)
     law = ProjectionLaw(law)
 
     t0 = time.perf_counter_ns()
-    values = np.empty(L)
-    blocks = [(lo, min(lo + PROJECTION_BLOCK, L)) for lo in range(0, L, PROJECTION_BLOCK)]
-    if workers == 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            values[lo:hi] = _projection_block(mu.data, nu.data, p, law, seed, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_projection_block, mu.data, nu.data, p, law, seed, lo, hi): (lo, hi)
-                for lo, hi in blocks
-            }
-            for fut, (lo, hi) in futures.items():
-                values[lo:hi] = fut.result()
+    starts = range(0, L, PROJECTION_BLOCK)
+    workers = min(max(1, int(workers)), len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # one worker starts no thread
+        blocks = (map if workers == 1 else pool.map)(
+            lambda lo: _projection_block(mu.data, nu.data, p, law, seed, lo,
+                                         min(lo + PROJECTION_BLOCK, L)),
+            starts,
+        )
+        values = np.concatenate(list(blocks))
     estimate = SwEstimate(
         value_sq=float(np.mean(values)),
         method=next(m for m in Method if m.law is law),
@@ -384,9 +367,7 @@ def gaussian_projection_constant(d: int, p: float) -> float:
     d = int(d)
     if d < 1:
         raise InvalidSample(f"dimension must be >= 1, got {d}")
-    p = float(p)
-    if p < 1.0:
-        raise InvalidOrder(f"order p must be >= 1, got {p}")
+    p = check_order(p)
     return math.sqrt(2.0 / d) * math.exp(_lgamma_diff(d / 2.0, p / 2.0) / p)
 
 
@@ -547,27 +528,23 @@ def _mean_and_scaled_m2(dist: EmpiricalDistribution) -> tuple[np.ndarray, float]
 def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
     """Deterministic approximation of the squared sliced 2-distance.
 
-    Each dataset is centered and summarized by the zero-mean 1D Gaussian with
-    variance equal to its normalized centered second moment; the value is the
-    squared gap of those scales plus the exact mean-separation term:
+    Each dataset is fitted by the isotropic Gaussian N(mean, (m2c / d) I)
+    of its mean and normalized centered second moment, and the value is
+    :func:`swkit.core_ot.sw2_gaussian_iso_closed` of the two fits:
 
-        (sqrt(m2c_mu / d) - sqrt(m2c_nu / d))^2 + ||mean_mu - mean_nu||^2 / d
+        ||mean_mu - mean_nu||^2 / d + (sqrt(m2c_mu / d) - sqrt(m2c_nu / d))^2
 
     O(nd) time, no sorting, no randomness. Sample counts may differ: only
     means and mean squared norms enter.
     """
-    if mu.dim != nu.dim:
-        raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
     t0 = time.perf_counter_ns()
-    mean_mu, scaled_mu = _mean_and_scaled_m2(mu)
-    mean_nu, scaled_nu = _mean_and_scaled_m2(nu)
-    delta = mean_mu - mean_nu
-    value = (math.sqrt(scaled_mu) - math.sqrt(scaled_nu)) ** 2 + float(delta @ delta) / mu.dim
+    fits = []
+    for dist in (mu, nu):
+        mean, scaled = _mean_and_scaled_m2(dist)
+        fits.append(IsoGaussian(dist.dim, mean, math.sqrt(scaled)))
     return SwEstimate(
-        value_sq=value,
+        value_sq=sw2_gaussian_iso_closed(*fits),
         method=Method.DETERMINISTIC,
-        num_projections=0,
-        seed=0,
         wall_time_ns=time.perf_counter_ns() - t0,
     )
 
@@ -605,8 +582,7 @@ def estimate(
     deterministic order-2 surrogates: they ignore ``L``, ``seed`` and
     ``workers``, and raise :class:`InvalidOrder` unless p = 2.
 
-    * ``deterministic`` gives :func:`sw_hat`, which is also the exact sliced
-      distance between the two moment-fit isotropic Gaussians,
+    * ``deterministic`` gives :func:`sw_hat`,
     * ``raw-moment`` gives :func:`sw_moment_approx_sq`.
     """
     method = Method(method)
@@ -615,11 +591,10 @@ def estimate(
         return est
     if float(p) != 2.0:
         raise InvalidOrder(f"method {method.value} is an order-2 surrogate, got p={p}")
+    if method is Method.DETERMINISTIC:
+        return sw_hat(mu, nu)
     t0 = time.perf_counter_ns()
-    if method is Method.RAW_MOMENT:
-        value_sq = sw_moment_approx_sq(mu, nu)
-    else:
-        value_sq = sw_hat(mu, nu).value_sq
+    value_sq = sw_moment_approx_sq(mu, nu)
     return SwEstimate(value_sq=value_sq, method=method, wall_time_ns=time.perf_counter_ns() - t0)
 
 

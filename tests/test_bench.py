@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ class TestRunConvergence:
             assert ra.reference_sq == rb.reference_sq
             assert ra.seed == rb.seed
 
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        run_convergence(tiny_ar_config(), workers=1)
+        assert started == []
+        run_convergence(tiny_ar_config(), workers=2)
+        assert started  # the counter sees a pool's threads
+
     def test_monte_carlo_reference_path(self):
         cfg = ExperimentConfig(scenario=Scenario.GAMMA_CENTERED, d_grid=(8,), n=60,
                                runs=2, reference=ReferenceKind.MONTE_CARLO,
@@ -287,11 +302,21 @@ class TestCsvIo:
         records = run_convergence(tiny_ar_config())
         path = tmp_path / "records.csv"
         bench.write_records_csv(records, path, metadata={"scenario": "ar1-gaussian"})
-        text = path.read_text()
-        assert text.startswith("# scenario=ar1-gaussian\n")
-        assert text.splitlines()[1] == ",".join(bench.RECORD_FIELDS)
-        back = bench.read_records_csv(path)
-        assert back == records
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# scenario=ar1-gaussian"
+        assert lines[1] == ",".join(bench.RECORD_FIELDS) == (
+            "scenario,run_id,d,n,alpha,method,estimate_sq,reference_sq,abs_error,"
+            "wall_time_ns,seed")
+        assert len(lines) == 2 + len(records)
+        for line, rec in zip(lines[2:], records):
+            cells = line.split(",")
+            assert len(cells) == len(bench.RECORD_FIELDS)
+            for name, text in zip(bench.RECORD_FIELDS, cells):
+                want = getattr(rec, name)
+                if isinstance(want, float):
+                    assert float(text) == want  # repr parses back to the same bits
+                else:
+                    assert text == str(want)
 
     def test_metadata_records_environment_and_is_stable(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SW_THREADS", raising=False)
@@ -316,8 +341,9 @@ class TestCsvIo:
         path = tmp_path / "records.csv"
         bench.write_records_csv(records, path)
         row = path.read_text().splitlines()[1].split(",")
+        assert bench.RECORD_FIELDS[4] == "alpha"
         assert row[4] == ""
-        assert bench.read_records_csv(path)[0].alpha is None
+        assert records[0].alpha is None
 
     def test_summary_csv_schema(self, tmp_path):
         rows = summarize(run_convergence(tiny_ar_config()))

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import swkit
@@ -172,6 +171,15 @@ class TestEstimate:
         a = dataset_csv("a.csv")
         code, _, _ = run_cli(capsys, ["estimate", a, a, "--p", "0.5"])
         assert code == 1
+
+    @pytest.mark.parametrize("order", ["nan", "inf", "0.5"])
+    def test_nonfinite_order_is_usage_error_before_reading(self, capsys, tmp_path, order):
+        missing = str(tmp_path / "nope.csv")  # a read would exit 2
+        code, out, err = run_cli(capsys, ["estimate", missing, missing,
+                                          "--method", "mc-sphere", "--p", order])
+        assert code == 1
+        assert out == ""
+        assert "--p" in err and "order" in err
 
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.csv")

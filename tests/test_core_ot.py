@@ -13,6 +13,7 @@ from swkit import (
     w2_gaussian_iso,
     wasserstein_1d_pp,
 )
+from swkit.core_ot import check_order
 from swkit.errors import DimMismatch, InvalidOrder, InvalidSample, LengthMismatch
 
 
@@ -93,8 +94,15 @@ class TestWasserstein1d:
             wasserstein_1d_pp(Samples1d([1.0]), Samples1d([1.0, 2.0]), 2)
 
     def test_order_below_one_rejected(self):
-        with pytest.raises(InvalidOrder):
-            wasserstein_1d_pp(Samples1d([1.0]), Samples1d([2.0]), 0.5)
+        for p in (0.5, math.nan, math.inf, -math.inf):  # NaN and inf are no order either
+            with pytest.raises(InvalidOrder):
+                wasserstein_1d_pp(Samples1d([1.0]), Samples1d([2.0]), p)
+            with pytest.raises(InvalidOrder):
+                check_order(p)
+
+    def test_check_order_returns_the_float(self):
+        for p in (1, 1.0, 2, 3.5, 1e300):
+            assert check_order(p) == float(p) and type(check_order(p)) is float
 
 
 class TestGaussianClosedForms:

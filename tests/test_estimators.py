@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,6 @@ import pytest
 
 from swkit import (
     EmpiricalDistribution,
-    FactorConfig,
-    FactorFamily,
-    DatasetRole,
-    Gaussian1d,
     IsoGaussian,
     Method,
     MomentStats,
@@ -20,7 +17,6 @@ from swkit import (
     center,
     estimate,
     gaussian_projection_constant,
-    gen_factors,
     indep_bound,
     moment_stats,
     monte_carlo_sw_pp,
@@ -30,7 +26,6 @@ from swkit import (
     sw_hat,
     sw_moment_approx_sq,
     theorem2_gap_bound,
-    w2_gaussian_1d,
     wasserstein_1d_pp,
     weakdep_bound,
     xi_d,
@@ -42,6 +37,7 @@ from swkit.estimators import (
     _PAIR_TILE,
     PAIR_BUDGET_DEFAULT,
     PAIR_FULL_LIMIT,
+    PROJECTION_BLOCK,
     _mean_and_scaled_m2,
     _resolve_pair_count,
     exact_pair_limit,
@@ -54,6 +50,10 @@ from swkit.errors import (
     InvalidSample,
     LengthMismatch,
 )
+
+
+# Orders outside [1, inf), NaN included.
+BAD_ORDERS = (0.5, math.nan, math.inf, -math.inf)
 
 
 def make_dist(seed, n, d, shift=0.0, scale=1.0):
@@ -233,13 +233,29 @@ class TestMonteCarlo:
         assert est.seed == 123
         assert est.wall_time_ns > 0
 
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        mu, nu = make_dist(1, 10, 2), make_dist(2, 10, 2)
+        monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=1)
+        assert started == []
+        monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=2)
+        assert started  # the counter sees a pool's threads
+
     def test_input_validation(self):
         with pytest.raises(DimMismatch):
             monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 3), 4)
         with pytest.raises(LengthMismatch):
             monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 11, 2), 4)
-        with pytest.raises(InvalidOrder):
-            monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 4, p=0.3)
+        for p in (0.3,) + BAD_ORDERS:
+            with pytest.raises(InvalidOrder):
+                monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 4, p=p)
         with pytest.raises(InvalidSample):
             monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 0)
 
@@ -274,8 +290,9 @@ class TestProjectionConstant:
     def test_validation(self):
         with pytest.raises(InvalidSample):
             gaussian_projection_constant(0, 2.0)
-        with pytest.raises(InvalidOrder):
-            gaussian_projection_constant(4, 0.5)
+        for p in BAD_ORDERS:
+            with pytest.raises(InvalidOrder):
+                gaussian_projection_constant(4, p)
 
 
 class TestMomentStats:
@@ -542,13 +559,13 @@ class TestSwHat:
             sw_hat(mu, nu).value_sq - mean_part, rel=1e-10)
 
     def test_closed_form_gauss_route_equals_deterministic(self):
-        mu, nu = make_dist(82, 300, 7, shift=1.0), make_dist(83, 280, 7, scale=1.7)
-        fits = []
-        for dist in (mu, nu):
-            mean, scaled = _mean_and_scaled_m2(dist)
-            fits.append(IsoGaussian(dist.dim, mean, math.sqrt(scaled)))
-        via_fit = sw2_gaussian_iso_closed(*fits)
-        assert via_fit == pytest.approx(sw_hat(mu, nu).value_sq, rel=1e-12)
+        for shift in (1.0, 1e6):  # 1e6: far from the origin, where the pilot shift matters
+            mu, nu = make_dist(82, 300, 7, shift=shift), make_dist(83, 280, 7, scale=1.7)
+            fits = []
+            for dist in (mu, nu):
+                mean, scaled = _mean_and_scaled_m2(dist)
+                fits.append(IsoGaussian(dist.dim, mean, math.sqrt(scaled)))
+            assert sw2_gaussian_iso_closed(*fits) == sw_hat(mu, nu).value_sq
 
 
 def two_pass_reference(x):

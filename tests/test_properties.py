@@ -13,6 +13,9 @@ Norms and inner products do not change under a rotation or a reordering of
 the rows, so neither do the exact moment statistics; and for all n^2 pairs
 Cauchy-Schwarz gives beta1 <= beta2 <= m2_raw.
 
+The row-batched kernel behind every Monte Carlo projection gives, row by
+row, the bits of ``wasserstein_1d_pp`` on that row.
+
 Writing a dataset with ``save_csv`` and reading it back with ``load_csv``
 returns the same bits for any finite values.
 
@@ -36,6 +39,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from swkit import rng
+from swkit.core_ot import Samples1d, sorted_gap_costs, wasserstein_1d_pp
 from swkit.datagen import load_csv, save_csv
 from swkit.estimators import (
     _PAIR_TILE,
@@ -140,6 +144,18 @@ def test_worker_count_is_bit_exact_at_block_boundaries(num_projections, pair, se
     one, two = (estimate(mu, nu, "mc-sphere", L=num_projections, seed=seed, workers=workers)
                 for workers in (1, 2))
     assert one.value_sq == two.value_sq
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@SETTINGS
+@given(rows=st.integers(1, 4), n=st.integers(1, 300), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=1, n=1, scale=1.0, seed=0)
+@example(rows=3, n=300, scale=1.0, seed=1)
+def test_sorted_gap_costs_rows_are_wasserstein_1d_pp(p, rows, n, scale, seed):
+    x, y = np.random.default_rng(seed).standard_normal((2, rows, n)) * scale
+    want = [wasserstein_1d_pp(Samples1d(a), Samples1d(b), p) for a, b in zip(x, y)]
+    assert sorted_gap_costs(x.copy(), y.copy(), p).tolist() == want
 
 
 @st.composite
