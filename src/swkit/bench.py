@@ -1,13 +1,15 @@
 """Experiment runners for the synthetic benchmarks, with CSV output.
 
 Two experiments, each running every configured method on every cell
-through :func:`swkit.estimators.estimate` and timing only that call, never
-the data generation:
+through :func:`swkit.estimators.estimate`. A record's wall time is the
+estimator's own clock (``SwEstimate.wall_time_ns``), so data generation and
+the reference are never timed:
 
 * :func:`run_convergence` measures, per dimension and run, the error of each
-  method against a reference value (an exact closed form where one exists, a
-  high-projection Monte Carlo estimate otherwise, and exactly zero for the AR
-  scenarios where both datasets come from the same law). By default the
+  method against a reference value that the scenario decides: the exact
+  closed form for Gaussian scenarios, a high-projection Monte Carlo estimate
+  for gamma scenarios, and exactly zero for the AR scenarios where both
+  datasets come from the same law. By default the
   method is the raw moment surrogate, labelled ``raw-moment``, whose error on
   non-centered data does not vanish with dimension. This reproduces the
   error-versus-dimension study at a desk-friendly scale by default.
@@ -33,7 +35,6 @@ import enum
 import math
 import os
 import platform
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -90,11 +91,7 @@ _AR_SCENARIOS = {
     Scenario.AR1_GAUSSIAN: NoiseKind.GAUSSIAN,
     Scenario.AR1_STUDENT: NoiseKind.STUDENT_T10,
 }
-
-
-class ReferenceKind(str, enum.Enum):
-    CLOSED_FORM = "closed-form"
-    MONTE_CARLO = "monte-carlo"
+_MC_REFERENCE = (Scenario.GAMMA_NONCENTERED, Scenario.GAMMA_CENTERED)  # no closed form
 
 
 @dataclass(frozen=True)
@@ -125,8 +122,14 @@ class ExperimentConfig:
 
     ``alpha_list`` applies to (and is required for) the AR scenarios only.
     Both experiments write one record per cell and entry of ``methods``,
-    which defaults to the convergence study's raw moment surrogate.
-    ``burn_in`` feeds the AR generator.
+    which defaults to the convergence study's raw moment surrogate, and take
+    each record's wall time from the estimator's own clock. ``burn_in`` feeds
+    the AR generator.
+
+    The scenario decides the reference: the closed-form sliced distance of
+    the two Gaussian laws, exactly zero for the AR scenarios (one law on both
+    sides), and for gamma scenarios a sphere Monte Carlo estimate with
+    ``reference_L`` projections.
     """
 
     scenario: Scenario
@@ -134,7 +137,6 @@ class ExperimentConfig:
     n: int = DESK_N
     runs: int = DESK_RUNS
     alpha_list: tuple[float, ...] = ()
-    reference: ReferenceKind = ReferenceKind.CLOSED_FORM
     reference_L: int = REFERENCE_L
     methods: tuple[MethodSpec, ...] = (MethodSpec(Method.RAW_MOMENT),)
     master_seed: int = 0
@@ -144,7 +146,6 @@ class ExperimentConfig:
         object.__setattr__(self, "scenario", Scenario(self.scenario))
         object.__setattr__(self, "d_grid", tuple(int(d) for d in self.d_grid))
         object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
-        object.__setattr__(self, "reference", ReferenceKind(self.reference))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.d_grid or any(d < 1 for d in self.d_grid):
             raise InvalidSample("d_grid must be nonempty with positive entries")
@@ -159,11 +160,10 @@ class ExperimentConfig:
             raise InvalidSample(f"scenario {self.scenario.value} takes no alpha_list")
         if any(not 0.0 <= a < 1.0 for a in self.alpha_list):
             raise InvalidSample(f"alpha values must lie in [0, 1), got {self.alpha_list}")
-        if self.scenario in (Scenario.GAMMA_NONCENTERED, Scenario.GAMMA_CENTERED):
-            if self.reference is ReferenceKind.CLOSED_FORM:
-                raise InvalidSample("gamma scenarios have no closed-form reference")
-        if self.reference is ReferenceKind.MONTE_CARLO and self.reference_L < 1:
+        if self.reference_L < 1:
             raise InvalidSample(f"reference_L must be >= 1, got {self.reference_L}")
+        if self.burn_in < 0:
+            raise InvalidSample(f"burn_in must be >= 0, got {self.burn_in}")
         if not self.methods:
             raise InvalidSample("methods must be nonempty")
 
@@ -213,21 +213,15 @@ def default_convergence_config(
     burn_in: int | None = None,
 ) -> ExperimentConfig:
     """Convergence-experiment config with desk-scale defaults (paper-scale
-    sizes behind the flag) for the raw moment surrogate. Gamma scenarios get
-    the high-projection Monte Carlo reference; Gaussian and AR scenarios use
-    their exact references.
-    """
+    sizes behind the flag) for the raw moment surrogate."""
     scenario = Scenario(scenario)
     is_ar = scenario in _AR_SCENARIOS
-    is_gamma = scenario in (Scenario.GAMMA_NONCENTERED, Scenario.GAMMA_CENTERED)
     return ExperimentConfig(
         scenario=scenario,
         d_grid=tuple(d_grid) if d_grid is not None else DESK_D_GRID,
         n=n if n is not None else (PAPER_N if paper_scale else DESK_N),
         runs=runs if runs is not None else (PAPER_RUNS if paper_scale else DESK_RUNS),
         alpha_list=tuple(alpha_list) if alpha_list is not None else (DEFAULT_ALPHAS if is_ar else ()),
-        reference=ReferenceKind.MONTE_CARLO if is_gamma else ReferenceKind.CLOSED_FORM,
-        reference_L=REFERENCE_L,
         master_seed=master_seed,
         burn_in=burn_in if burn_in is not None else (PAPER_BURN_IN if paper_scale else DESK_BURN_IN),
     )
@@ -251,8 +245,6 @@ def default_timing_config(
         d_grid=tuple(d_grid) if d_grid is not None else DESK_D_GRID,
         n=n if n is not None else (PAPER_N if paper_scale else DESK_N),
         runs=runs if runs is not None else (PAPER_RUNS if paper_scale else 3),
-        reference=ReferenceKind.MONTE_CARLO,
-        reference_L=REFERENCE_L,
         methods=methods,
         master_seed=master_seed,
     )
@@ -289,7 +281,7 @@ def _generate_pair(cfg, d, alpha, cell_seed):
 
 
 def _reference_sq(cfg, mu, nu, closed_ref, cell_seed) -> float:
-    if cfg.reference is ReferenceKind.CLOSED_FORM:
+    if closed_ref is not None:
         return closed_ref
     return estimate(mu, nu, Method.MONTE_CARLO_SPHERE, L=cfg.reference_L,
                     seed=rng.derive_seed(cell_seed, "reference")).value_sq
@@ -308,20 +300,11 @@ def _with_cell_context(exc: SwkitError, cfg, d, alpha, run):
     return type(exc)(f"[{where}, run={run}] {exc}")
 
 
-def _timed_estimate(spec: MethodSpec, mu, nu, seed, reps):
-    """Run one estimator ``reps`` times; return (value_sq, median wall ns)."""
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        est = estimate(mu, nu, spec.method, L=spec.L, seed=seed)
-        times.append(time.perf_counter_ns() - t0)
-    return est.value_sq, sorted(times)[reps // 2]
-
-
 def _cell_records(cfg, d, alpha_idx, alpha, run, reps) -> list[ResultRecord]:
     """One record per configured method for the (d, alpha, run) cell, each
-    method timed as the median of ``reps`` calls. The reference is computed
-    once per cell from a stream disjoint from every method stream."""
+    method's wall time the median of the estimator's own clock over ``reps``
+    calls. The reference is computed once per cell from a stream disjoint
+    from every method stream."""
     cell_seed = _cell_seed(cfg, alpha_idx, d, run)
     records = []
     try:
@@ -329,12 +312,13 @@ def _cell_records(cfg, d, alpha_idx, alpha, run, reps) -> list[ResultRecord]:
         reference_sq = _reference_sq(cfg, mu, nu, closed_ref, cell_seed)
         for method_idx, spec in enumerate(cfg.methods):
             seed = rng.derive_seed(cell_seed, "method", method_idx)
-            value_sq, wall = _timed_estimate(spec, mu, nu, seed, reps)
+            ests = [estimate(mu, nu, spec.method, L=spec.L, seed=seed) for _ in range(reps)]
+            est = ests[-1]
             records.append(ResultRecord(
                 scenario=cfg.scenario.value, run_id=run, d=d, n=cfg.n, alpha=alpha,
-                method=spec.label, estimate_sq=value_sq, reference_sq=reference_sq,
-                abs_error=abs(math.sqrt(value_sq) - math.sqrt(reference_sq)),
-                wall_time_ns=wall, seed=cell_seed,
+                method=spec.label, estimate_sq=est.value_sq, reference_sq=reference_sq,
+                abs_error=abs(math.sqrt(est.value_sq) - math.sqrt(reference_sq)),
+                wall_time_ns=sorted(e.wall_time_ns for e in ests)[reps // 2], seed=cell_seed,
             ))
     except SwkitError as exc:
         raise _with_cell_context(exc, cfg, d, alpha, run) from exc
@@ -343,8 +327,8 @@ def _cell_records(cfg, d, alpha_idx, alpha, run, reps) -> list[ResultRecord]:
 
 def run_convergence(cfg: ExperimentConfig, workers: int = 1) -> list[ResultRecord]:
     """Error of every configured method against the reference: per
-    (dimension, alpha, run) cell, one record per method, each from one timed
-    call.
+    (dimension, alpha, run) cell, one record per method, each from one
+    estimator call.
 
     Cells are independent; with ``workers > 1`` they run on a thread pool,
     and since every cell owns a seed derived from its coordinates the records
@@ -362,8 +346,8 @@ def run_timing(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Accuracy and wall time of every configured method per (d, run) cell.
 
     Runs strictly serially (one worker) so timings are not skewed by
-    contention. Each method is timed as the median of three repetitions and
-    only the estimator call is inside the clock.
+    contention. A record's wall time is the median of the estimator's own
+    clock over three repetitions.
     """
     return [rec for cell in _cells(cfg) for rec in _cell_records(cfg, *cell, reps=_TIMING_REPS)]
 
@@ -446,13 +430,14 @@ def _format_value(value) -> str:
 def config_metadata(cfg: ExperimentConfig) -> dict:
     """Provenance recorded at the top of a records CSV: the configuration,
     then the environment that ran it."""
+    mc_reference = cfg.scenario in _MC_REFERENCE
     return {
         "scenario": cfg.scenario.value,
         "n": cfg.n,
         "runs": cfg.runs,
         "master_seed": cfg.master_seed,
-        "reference": cfg.reference.value,
-        "reference_L": cfg.reference_L if cfg.reference is ReferenceKind.MONTE_CARLO else "",
+        "reference": "monte-carlo" if mc_reference else "closed-form",
+        "reference_L": cfg.reference_L if mc_reference else "",
         "burn_in": cfg.burn_in,
         "hyperparams": "regenerated-per-run",
         "python": platform.python_version(),
@@ -463,21 +448,19 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def write_records_csv(records, path, metadata: dict | None = None) -> None:
-    lines = []
-    if metadata:
-        lines.append("# " + " ".join(f"{k}={v}" for k, v in metadata.items()))
-    lines.append(",".join(RECORD_FIELDS))
-    for rec in records:
-        lines.append(",".join(_format_value(getattr(rec, f)) for f in RECORD_FIELDS))
+def _write_csv(path, columns, rows, preamble=()) -> None:
+    lines = [*preamble, ",".join(columns)]
+    lines += [",".join(_format_value(getattr(row, f)) for f in columns) for row in rows]
     atomic_write(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+
+
+def write_records_csv(records, path, metadata: dict | None = None) -> None:
+    preamble = ["# " + " ".join(f"{k}={v}" for k, v in metadata.items())] if metadata else []
+    _write_csv(path, RECORD_FIELDS, records, preamble)
 
 
 def write_summary_csv(rows, path) -> None:
-    lines = [",".join(SUMMARY_FIELDS)]
-    for row in rows:
-        lines.append(",".join(_format_value(getattr(row, f)) for f in SUMMARY_FIELDS))
-    atomic_write(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    _write_csv(path, SUMMARY_FIELDS, rows)
 
 
 def format_summary_table(rows) -> str:

@@ -107,31 +107,24 @@ def build_parser() -> _Parser:
     conv = sub.add_parser("convergence", help="error-versus-dimension experiment")
     conv.add_argument("--scenario", required=True,
                       choices=[s.value for s in bench.Scenario])
-    conv.add_argument("--d", type=_int_list, default=None,
-                      help="comma-separated dimension grid")
-    conv.add_argument("--n", type=int, default=None, help="samples per dataset")
-    conv.add_argument("--runs", type=int, default=None, help="independent runs per cell")
     conv.add_argument("--alpha", type=_float_list, default=None,
                       help="comma-separated AR coefficients (AR scenarios)")
     conv.add_argument("--burn-in", type=int, default=None, help="AR burn-in steps")
-    conv.add_argument("--seed", type=int, default=0, help="master seed")
-    conv.add_argument("--paper-scale", action="store_true",
-                      help="full-scale sizes: n=10^4, 100 runs, burn-in 10^4")
-    conv.add_argument("--out", required=True, help="records CSV path")
-    conv.add_argument("--summary-out", default=None, help="summary CSV path")
     conv.set_defaults(func=cmd_convergence)
 
     tim = sub.add_parser("timing", help="accuracy/wall-time comparison experiment")
-    tim.add_argument("--d", type=_int_list, default=None,
-                     help="comma-separated dimension grid")
-    tim.add_argument("--n", type=int, default=None, help="samples per dataset")
-    tim.add_argument("--runs", type=int, default=None, help="independent runs per cell")
-    tim.add_argument("--seed", type=int, default=0, help="master seed")
-    tim.add_argument("--paper-scale", action="store_true",
-                     help="full-scale sizes: n=10^4, 100 runs")
-    tim.add_argument("--out", required=True, help="records CSV path")
-    tim.add_argument("--summary-out", default=None, help="summary CSV path")
     tim.set_defaults(func=cmd_timing)
+
+    for study in (conv, tim):
+        study.add_argument("--d", type=_int_list, default=None,
+                           help="comma-separated dimension grid")
+        study.add_argument("--n", type=int, default=None, help="samples per dataset")
+        study.add_argument("--runs", type=int, default=None, help="independent runs per cell")
+        study.add_argument("--seed", type=int, default=0, help="master seed")
+        study.add_argument("--paper-scale", action="store_true",
+                           help="full-scale sizes: n=10^4, 100 runs, AR burn-in 10^4")
+        study.add_argument("--out", required=True, help="records CSV path")
+        study.add_argument("--summary-out", default=None, help="summary CSV path")
 
     gen = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     gen.add_argument("--family", required=True, choices=["gaussian", "gamma", "ar1"])
@@ -163,8 +156,6 @@ def cmd_estimate(args) -> int:
     method = Method(args.method)
     if method.is_mc and args.L < 1:
         raise UsageError(f"--L must be >= 1 for Monte Carlo methods, got {args.L}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
         check_order(args.p)
         mu = datagen.load_csv(args.file_a)
@@ -180,8 +171,6 @@ def cmd_estimate(args) -> int:
 def cmd_diagnostics(args) -> int:
     if isinstance(args.pair_budget, int) and args.pair_budget < 1:
         raise UsageError(f"--pair-budget must be >= 1, got {args.pair_budget}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     dist = datagen.load_csv(args.file)
     stats = moment_stats(dist, pair_budget=args.pair_budget, seed=args.seed)
     print(f"n={dist.n}")
@@ -203,70 +192,53 @@ def cmd_diagnostics(args) -> int:
     return 0
 
 
-def _echo_summary(records, summary_out) -> None:
+def _config(make, **fields):
+    """``make(**fields)``, with an invalid value reported as a usage error."""
+    try:
+        return make(**fields)
+    except SwkitError as exc:
+        raise UsageError(str(exc))
+
+
+def _run_study(args, make_config, run, **config) -> int:
+    """Body of both experiment commands: build the config from the shared
+    flags plus ``config``, run the study, write the records CSV, then write
+    and print the summary."""
+    cfg = _config(make_config, paper_scale=args.paper_scale, master_seed=args.seed,
+                  d_grid=args.d, n=args.n, runs=args.runs, **config)
+    records = run(cfg)
+    bench.write_records_csv(records, args.out, metadata=bench.config_metadata(cfg))
     rows = bench.summarize(records)
-    if summary_out:
-        bench.write_summary_csv(rows, summary_out)
+    if args.summary_out:
+        bench.write_summary_csv(rows, args.summary_out)
     print(bench.format_summary_table(rows))
+    return 0
 
 
 def cmd_convergence(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    scenario = bench.Scenario(args.scenario)
-    try:
-        cfg = bench.default_convergence_config(
-            scenario, paper_scale=args.paper_scale, master_seed=args.seed,
-            d_grid=args.d, n=args.n, runs=args.runs, alpha_list=args.alpha,
-            burn_in=args.burn_in,
-        )
-    except SwkitError as exc:
-        raise UsageError(str(exc))
-    records = bench.run_convergence(cfg, workers=_worker_count())
-    bench.write_records_csv(records, args.out, metadata=bench.config_metadata(cfg))
-    _echo_summary(records, args.summary_out)
-    return 0
+    return _run_study(args, bench.default_convergence_config,
+                      lambda cfg: bench.run_convergence(cfg, workers=_worker_count()),
+                      scenario=args.scenario, alpha_list=args.alpha,
+                      burn_in=args.burn_in)
 
 
 def cmd_timing(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    try:
-        cfg = bench.default_timing_config(
-            paper_scale=args.paper_scale, master_seed=args.seed,
-            d_grid=args.d, n=args.n, runs=args.runs,
-        )
-    except SwkitError as exc:
-        raise UsageError(str(exc))
-    records = bench.run_timing(cfg)
-    bench.write_records_csv(records, args.out, metadata=bench.config_metadata(cfg))
-    _echo_summary(records, args.summary_out)
-    return 0
+    return _run_study(args, bench.default_timing_config, bench.run_timing)
 
 
 def cmd_generate(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.family == "ar1":
         if args.alpha is None:
             raise UsageError("--alpha is required for --family ar1")
-        try:
-            cfg = datagen.Ar1Config(dim=args.d, n=args.n, alpha=args.alpha,
-                                    noise=datagen.NoiseKind(args.noise),
-                                    burn_in=args.burn_in, seed=args.seed)
-        except SwkitError as exc:
-            raise UsageError(str(exc))
-        dist = datagen.gen_ar1(cfg)
+        dist = datagen.gen_ar1(_config(datagen.Ar1Config, dim=args.d, n=args.n,
+                                       alpha=args.alpha, noise=datagen.NoiseKind(args.noise),
+                                       burn_in=args.burn_in, seed=args.seed))
     else:
-        try:
-            cfg = datagen.FactorConfig(dim=args.d, n=args.n,
-                                       family=datagen.FactorFamily(args.family),
-                                       centered=args.centered,
-                                       role=datagen.DatasetRole(args.role),
-                                       seed=args.seed)
-        except SwkitError as exc:
-            raise UsageError(str(exc))
-        dist = datagen.gen_factors(cfg)
+        dist = datagen.gen_factors(_config(datagen.FactorConfig, dim=args.d, n=args.n,
+                                           family=datagen.FactorFamily(args.family),
+                                           centered=args.centered,
+                                           role=datagen.DatasetRole(args.role),
+                                           seed=args.seed))
     datagen.save_csv(dist, args.out, header=args.header)
     print(f"wrote {dist.n} x {dist.dim} dataset to {args.out}")
     return 0
@@ -276,6 +248,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand takes --seed
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"swkit: error: {exc}", file=sys.stderr)

@@ -62,19 +62,24 @@ def sorted_gap_costs(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     matches order statistics. Both arrays are sorted row by row in place and
     ``x`` is overwritten by the gaps; ``p`` must already be checked. Each
     row is reduced by numpy's pairwise summation, keeping rounding error
-    negligible even at n = 10^4 and above.
+    negligible even at n = 10^4 and above. Raises InvalidOrder when a row's
+    cost overflows float64, as a large p does on gaps above 1.
     """
     for i in range(len(x)):  # row-wise sorts hit numpy's vectorized path
         x[i].sort()
         y[i].sort()
-    x -= y
-    if p == 2.0:  # squaring needs no abs: it gives the same bits
-        x *= x
-    else:
-        np.abs(x, out=x)
-        if p != 1.0:
-            x **= p
-    return x.mean(axis=1)
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite cost
+        x -= y
+        if p == 2.0:  # squaring needs no abs: it gives the same bits
+            x *= x
+        else:
+            np.abs(x, out=x)
+            if p != 1.0:
+                x **= p
+        costs = x.mean(axis=1)
+    if not np.all(np.isfinite(costs)):
+        raise InvalidOrder(f"order p={p} overflows float64 in the p-th power of the gaps")
+    return costs
 
 
 def wasserstein_1d_pp(x: Samples1d, y: Samples1d, p: float = 2.0) -> float:

@@ -11,9 +11,6 @@ Two families:
 Everything is a pure function of (config, seed): same seed, same bytes.
 Rows of AR(1) datasets are generated from fixed-size per-block streams, so
 blocks could be produced in parallel without changing the output.
-
-Projection directions come from :func:`swkit.estimators.sample_directions`,
-the sampler Monte Carlo itself uses.
 """
 
 from __future__ import annotations

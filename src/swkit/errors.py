@@ -12,7 +12,8 @@ class SwkitError(Exception):
 
 
 class InvalidSample(SwkitError):
-    """Input data contains NaN or infinite entries."""
+    """An input value is invalid: NaN or infinite data, or a size, count,
+    seed or parameter outside its allowed range."""
 
 
 class LengthMismatch(SwkitError):
@@ -20,7 +21,8 @@ class LengthMismatch(SwkitError):
 
 
 class InvalidOrder(SwkitError):
-    """Transport order p is below 1."""
+    """Transport order p is below 1 or not finite, or so large that the p-th
+    power of the transport gaps overflows float64."""
 
 
 class DimMismatch(SwkitError):

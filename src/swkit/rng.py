@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidSample
+
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), for
 # a pool of 4 32-bit words.
 _POOL_SIZE = 4
@@ -37,14 +39,14 @@ def _encode(part) -> int:
         return int.from_bytes(part.encode("utf-8"), "little")
     value = int(part)
     if value < 0:
-        raise ValueError(f"sub-keys must be non-negative, got {part!r}")
+        raise InvalidSample(f"sub-keys must be non-negative, got {part!r}")
     return value
 
 
 def _seed(seed) -> int:
     seed = int(seed)
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise InvalidSample(f"seed must be non-negative, got {seed}")
     return seed
 
 
@@ -105,7 +107,7 @@ def philox_keys(seed: int, start: int, count: int) -> np.ndarray:
     """
     seed, start, count = _seed(seed), int(start), int(count)
     if start < 0 or count < 0 or start + count > 1 << 64:
-        raise ValueError(f"indices must lie in [0, 2^64), got start={start}, count={count}")
+        raise InvalidSample(f"indices must lie in [0, 2^64), got start={start}, count={count}")
     hashmix = _hasher(_INIT_A, _MULT_A)
     words = _words(seed)
     words += [0] * (_POOL_SIZE - len(words))

@@ -9,7 +9,6 @@ import swkit.bench as bench
 from swkit.bench import (
     ExperimentConfig,
     MethodSpec,
-    ReferenceKind,
     ResultRecord,
     Scenario,
     default_convergence_config,
@@ -19,8 +18,9 @@ from swkit.bench import (
     run_timing,
     summarize,
 )
+from swkit import rng
 from swkit.errors import EmptyInput, InvalidSample, NonPositiveError
-from swkit.estimators import Method
+from swkit.estimators import Method, SwEstimate, estimate
 
 
 def tiny_ar_config(**overrides):
@@ -30,7 +30,6 @@ def tiny_ar_config(**overrides):
         n=200,
         runs=3,
         alpha_list=(0.3, 0.7),
-        reference=ReferenceKind.CLOSED_FORM,
         master_seed=5,
         burn_in=100,
     )
@@ -128,10 +127,17 @@ class TestConfigValidation:
         with pytest.raises(InvalidSample):
             ExperimentConfig(scenario=Scenario.GAUSSIAN_CENTERED, alpha_list=(0.5,))
 
-    def test_gamma_needs_monte_carlo_reference(self):
-        with pytest.raises(InvalidSample):
-            ExperimentConfig(scenario=Scenario.GAMMA_CENTERED,
-                             reference=ReferenceKind.CLOSED_FORM)
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_negative_burn_in_rejected(self, scenario):
+        alphas = (0.5,) if scenario.value.startswith("ar1") else ()
+        with pytest.raises(InvalidSample, match="burn_in"):
+            ExperimentConfig(scenario=scenario, alpha_list=alphas, burn_in=-1)
+        ExperimentConfig(scenario=scenario, alpha_list=alphas, burn_in=0)
+
+    @pytest.mark.parametrize("scenario", [Scenario.GAUSSIAN_CENTERED, Scenario.GAMMA_CENTERED])
+    def test_reference_projection_count_checked_for_every_scenario(self, scenario):
+        with pytest.raises(InvalidSample, match="reference_L"):
+            ExperimentConfig(scenario=scenario, reference_L=0)
 
     def test_method_spec_validation(self):
         with pytest.raises(InvalidSample):
@@ -142,12 +148,15 @@ class TestConfigValidation:
         assert MethodSpec(Method.DETERMINISTIC).label == "deterministic"
 
     def test_defaults_choose_reference_by_scenario(self):
-        assert default_convergence_config(Scenario.GAMMA_CENTERED).reference \
-            is ReferenceKind.MONTE_CARLO
-        assert default_convergence_config(Scenario.GAUSSIAN_CENTERED).reference \
-            is ReferenceKind.CLOSED_FORM
+        for scenario in Scenario:
+            meta = bench.config_metadata(default_convergence_config(scenario))
+            if scenario.value.startswith("gamma"):
+                assert (meta["reference"], meta["reference_L"]) == ("monte-carlo", 20_000)
+            else:
+                assert (meta["reference"], meta["reference_L"]) == ("closed-form", "")
+        meta = bench.config_metadata(default_timing_config())
+        assert (meta["reference"], meta["reference_L"]) == ("monte-carlo", 20_000)
         ar = default_convergence_config(Scenario.AR1_GAUSSIAN)
-        assert ar.reference is ReferenceKind.CLOSED_FORM
         assert ar.alpha_list == (0.2, 0.5, 0.8)
 
     def test_paper_scale_defaults(self):
@@ -212,16 +221,26 @@ class TestRunConvergence:
 
     def test_monte_carlo_reference_path(self):
         cfg = ExperimentConfig(scenario=Scenario.GAMMA_CENTERED, d_grid=(8,), n=60,
-                               runs=2, reference=ReferenceKind.MONTE_CARLO,
-                               reference_L=200, master_seed=2)
+                               runs=2, reference_L=200, master_seed=2)
         records = run_convergence(cfg)
         assert len(records) == 2
         assert all(r.reference_sq > 0.0 for r in records)
 
+    def test_gamma_reference_is_the_seeded_monte_carlo_estimate(self):
+        cfg = ExperimentConfig(scenario=Scenario.GAMMA_NONCENTERED, d_grid=(6,), n=50,
+                               runs=1, reference_L=300, master_seed=21)
+        rec = run_convergence(cfg)[0]
+        cell_seed = rng.derive_seed(cfg.master_seed, "cell", cfg.scenario.value, 0, 6, 0)
+        assert rec.seed == cell_seed
+        mu, nu, closed_ref = bench._generate_pair(cfg, 6, None, cell_seed)
+        assert closed_ref is None
+        want = estimate(mu, nu, "mc-sphere", L=cfg.reference_L,
+                        seed=rng.derive_seed(cell_seed, "reference")).value_sq
+        assert rec.reference_sq == want
+
     def test_honours_configured_methods(self):
         raw_only = ExperimentConfig(scenario=Scenario.GAMMA_NONCENTERED, d_grid=(10, 20), n=100,
-                                    runs=2, reference=ReferenceKind.MONTE_CARLO,
-                                    reference_L=50, master_seed=4)
+                                    runs=2, reference_L=50, master_seed=4)
         cfg = dataclasses.replace(raw_only, methods=(MethodSpec(Method.RAW_MOMENT),
                                                      MethodSpec(Method.DETERMINISTIC)))
         records = run_convergence(cfg)
@@ -235,8 +254,7 @@ class TestRunConvergence:
     def test_noncentered_gamma_error_does_not_decay(self):
         # reduced-scale version of the bounded-error invariant for raw gamma data
         cfg = ExperimentConfig(scenario=Scenario.GAMMA_NONCENTERED, d_grid=(10, 100, 1000),
-                               n=400, runs=3, reference=ReferenceKind.MONTE_CARLO,
-                               reference_L=2000, master_seed=14)
+                               n=400, runs=3, reference_L=2000, master_seed=14)
         rows = summarize(run_convergence(cfg))
         slope, _, _ = fit_loglog_slope([r.d for r in rows], [r.mean_error for r in rows])
         assert slope > -0.1
@@ -265,7 +283,7 @@ class TestRunConvergence:
 class TestRunTiming:
     def test_records_per_method_and_determinism(self):
         cfg = ExperimentConfig(scenario=Scenario.GAMMA_CENTERED, d_grid=(10,), n=80,
-                               runs=2, reference=ReferenceKind.MONTE_CARLO, reference_L=100,
+                               runs=2, reference_L=100,
                                methods=(MethodSpec(Method.DETERMINISTIC),
                                         MethodSpec(Method.MONTE_CARLO_SPHERE, 50),
                                         MethodSpec(Method.MONTE_CARLO_SPHERE, 400)),
@@ -287,7 +305,7 @@ class TestRunTiming:
 
     def test_monte_carlo_time_grows_with_projection_count(self):
         cfg = ExperimentConfig(scenario=Scenario.GAMMA_CENTERED, d_grid=(20,), n=500,
-                               runs=1, reference=ReferenceKind.MONTE_CARLO, reference_L=50,
+                               runs=1, reference_L=50,
                                methods=(MethodSpec(Method.MONTE_CARLO_SPHERE, 50),
                                         MethodSpec(Method.MONTE_CARLO_SPHERE, 2000)),
                                master_seed=12)
@@ -295,6 +313,17 @@ class TestRunTiming:
         small = next(r for r in records if r.method == "mc-sphere-50")
         large = next(r for r in records if r.method == "mc-sphere-2000")
         assert large.wall_time_ns > 3 * small.wall_time_ns
+
+    def test_wall_time_is_median_of_the_estimator_clock(self, monkeypatch):
+        clocks = iter([30, 10, 20])
+
+        def fake_estimate(mu, nu, method, **kwargs):
+            return SwEstimate(value_sq=1.0, method=method, wall_time_ns=next(clocks))
+
+        monkeypatch.setattr(bench, "estimate", fake_estimate)
+        cfg = ExperimentConfig(scenario=Scenario.GAUSSIAN_CENTERED, d_grid=(3,), n=10, runs=1,
+                               methods=(MethodSpec(Method.DETERMINISTIC),))
+        assert [r.wall_time_ns for r in run_timing(cfg)] == [20]
 
 
 class TestCsvIo:

@@ -181,6 +181,16 @@ class TestEstimate:
         assert out == ""
         assert "--p" in err and "order" in err
 
+    def test_overflowing_order_is_usage_error(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0,0\n1,0\n0,1\n")
+        b.write_text("1000,1000\n1001,1000\n1000,1001\n")
+        code, out, err = run_cli(capsys, ["estimate", str(a), str(b), "--method", "mc-sphere",
+                                          "--L", "50", "--p", "200"])
+        assert code == 1
+        assert out == ""
+        assert "--p:" in err and "overflows" in err
+
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.csv")
         code, _, err = run_cli(capsys, ["estimate", missing, missing])
@@ -260,6 +270,23 @@ class TestDiagnostics:
         assert code == 1
         assert out == ""
         assert "--seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "missing-a.csv", "missing-b.csv"],
+    ["diagnostics", "missing.csv"],
+    ["convergence", "--scenario", "gaussian-centered", "--out", "records.csv",
+     "--summary-out", "summary.csv"],
+    ["timing", "--out", "records.csv", "--summary-out", "summary.csv"],
+    ["generate", "--family", "gaussian", "--d", "2", "--n", "3", "--out", "data.csv"],
+], ids=["estimate", "diagnostics", "convergence", "timing", "generate"])
+def test_negative_seed_is_usage_error_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, [*argv, "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "swkit: error: --seed must be >= 0, got -1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestGenerate:
@@ -367,6 +394,19 @@ class TestExperimentCommands:
         code, _, err = run_cli(capsys, ["timing", *flags, "--out", str(out)])
         assert code == 1
         assert "swkit: error:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["ar1-gaussian", "gaussian-centered"])
+    def test_negative_burn_in_is_usage_error(self, capsys, tmp_path, scenario):
+        out = tmp_path / "r.csv"
+        alpha = ["--alpha", "0.5"] if scenario.startswith("ar1") else []
+        code, stdout, err = run_cli(capsys, [
+            "convergence", "--scenario", scenario, *alpha, "--burn-in", "-5",
+            "--runs", "1", "--d", "3", "--n", "20", "--out", str(out),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert "swkit: error: burn_in must be >= 0, got -5" in err
         assert not out.exists()
 
     def test_unwritable_out_is_runtime_error(self, capsys):

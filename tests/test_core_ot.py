@@ -100,6 +100,12 @@ class TestWasserstein1d:
             with pytest.raises(InvalidOrder):
                 check_order(p)
 
+    def test_overflowing_order_rejected(self):
+        # gaps of 50 and up: 50^200 is far beyond the float64 range
+        with pytest.raises(InvalidOrder, match=r"p=200\.0.*overflows float64"):
+            wasserstein_1d_pp(Samples1d([0.0, 1.0]), Samples1d([50.0, 60.0]), 200)
+        assert wasserstein_1d_pp(Samples1d([0.0, 1.0]), Samples1d([0.5, 1.5]), 200) == 0.5 ** 200
+
     def test_check_order_returns_the_float(self):
         for p in (1, 1.0, 2, 3.5, 1e300):
             assert check_order(p) == float(p) and type(check_order(p)) is float

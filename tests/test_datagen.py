@@ -20,6 +20,11 @@ from swkit import (
 from swkit.errors import DatasetParseError, InvalidSample
 
 
+def test_negative_seed_is_invalid_sample():
+    with pytest.raises(InvalidSample, match="seed must be non-negative"):
+        gen_factors(FactorConfig(dim=3, n=4, family=FactorFamily.GAMMA, seed=-1))
+
+
 class TestSphereSampler:
     def test_unit_norms(self):
         vs = sample_directions(7, seed=1, count=500)

@@ -30,6 +30,7 @@ from swkit import (
     weakdep_bound,
     xi_d,
 )
+from swkit import estimators
 from swkit import rng as swrng
 from swkit.estimators import (
     _CENTER_BLOCK_BYTES,
@@ -258,6 +259,31 @@ class TestMonteCarlo:
                 monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 4, p=p)
         with pytest.raises(InvalidSample):
             monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 0)
+
+    def test_overflowing_order_fails_on_the_first_block(self, monkeypatch):
+        g = np.random.default_rng(0)
+        mu = EmpiricalDistribution(g.standard_normal((20, 3)) * 50.0)
+        nu = EmpiricalDistribution(g.gamma(2.0, 1.0, size=(20, 3)))
+        blocks = []
+        block = estimators._projection_block
+        monkeypatch.setattr(estimators, "_projection_block",
+                            lambda *args: blocks.append(args) or block(*args))
+        with pytest.raises(InvalidOrder, match=r"p=200\.0.*overflows float64"):
+            monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, p=200)
+        assert len(blocks) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 4, seed=-1),
+        lambda: moment_stats(make_dist(1, 10, 2), pair_budget=50, seed=-1),
+        lambda: sample_directions(3, seed=-1, count=2),
+        lambda: swrng.philox_keys(-1, 0, 2),
+        lambda: swrng.philox_keys(0, -1, 2),
+        lambda: swrng.substream(0, "label", -3),
+    ], ids=["monte_carlo_sw_pp", "moment_stats", "sample_directions", "philox_keys",
+            "philox_keys_start", "substream"])
+    def test_negative_seed_is_invalid_sample(self, call):
+        with pytest.raises(InvalidSample):
+            call()
 
 
 class TestProjectionConstant:
