@@ -164,6 +164,8 @@ class ExperimentConfig:
             raise InvalidSample(f"reference_L must be >= 1, got {self.reference_L}")
         if self.burn_in < 0:
             raise InvalidSample(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.master_seed < 0:
+            raise InvalidSample(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
             raise InvalidSample("methods must be nonempty")
 
@@ -444,7 +446,8 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
-        "SW_THREADS": os.environ.get("SW_THREADS", "unset"),
+        **{var: os.environ.get(var, "unset")
+           for var in ("SW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
 
 

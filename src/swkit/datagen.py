@@ -140,6 +140,7 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
         data = g.gamma(shape=hyper.per_column, scale=hyper.scale, size=(cfg.n, cfg.dim))
     if cfg.centered:
         data -= data.mean(axis=0)
+    data.flags.writeable = False  # nothing else holds it: wrapped without a copy
     return EmpiricalDistribution(data)
 
 
@@ -165,6 +166,7 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
             eps = g.standard_t(10.0, size=(hi - lo, steps))
         traj = lfilter([1.0], [1.0, -cfg.alpha], eps, axis=1)
         out[lo:hi] = traj[:, cfg.burn_in :]
+    out.flags.writeable = False  # nothing else holds it: wrapped without a copy
     return EmpiricalDistribution(out)
 
 
@@ -282,6 +284,7 @@ def load_csv(path) -> EmpiricalDistribution:
             if first is None:
                 raise DatasetParseError(path, 0, "no data rows")
             data = _parse_rows(line for _, line in itertools.chain([first], rows))
+        data.flags.writeable = False  # nothing else holds it: wrapped without a copy
         return EmpiricalDistribution(data)
     except (ValueError, InvalidSample):  # UnicodeDecodeError is a ValueError
         _raise_first_fault(path)

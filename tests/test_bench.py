@@ -134,6 +134,13 @@ class TestConfigValidation:
             ExperimentConfig(scenario=scenario, alpha_list=alphas, burn_in=-1)
         ExperimentConfig(scenario=scenario, alpha_list=alphas, burn_in=0)
 
+    def test_negative_master_seed_rejected_by_the_config(self):
+        # Before the check, the study failed in its first cell with an error
+        # that named neither the field nor the cell.
+        with pytest.raises(InvalidSample, match="master_seed must be >= 0, got -1"):
+            tiny_ar_config(master_seed=-1)
+        assert tiny_ar_config(master_seed=0).master_seed == 0
+
     @pytest.mark.parametrize("scenario", [Scenario.GAUSSIAN_CENTERED, Scenario.GAMMA_CENTERED])
     def test_reference_projection_count_checked_for_every_scenario(self, scenario):
         with pytest.raises(InvalidSample, match="reference_L"):
@@ -362,6 +369,14 @@ class TestCsvIo:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         monkeypatch.setenv("SW_THREADS", "3")
         assert bench.config_metadata(cfg)["SW_THREADS"] == "3"
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_metadata_records_blas_thread_variables(self, var, monkeypatch):
+        cfg = tiny_ar_config()
+        monkeypatch.delenv(var, raising=False)
+        assert bench.config_metadata(cfg)[var] == "unset"
+        monkeypatch.setenv(var, "2")
+        assert bench.config_metadata(cfg)[var] == "2"
 
     def test_alpha_blank_for_factor_scenarios(self, tmp_path):
         cfg = ExperimentConfig(scenario=Scenario.GAUSSIAN_CENTERED, d_grid=(5,), n=20,

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -32,6 +33,7 @@ from swkit import (
 )
 from swkit import estimators
 from swkit import rng as swrng
+from swkit.core_ot import sorted_gap_costs
 from swkit.estimators import (
     _CENTER_BLOCK_BYTES,
     _PAIR_CHUNK,
@@ -79,6 +81,40 @@ class TestEmpiricalDistribution:
         dist = make_dist(0, 4, 3)
         with pytest.raises(ValueError):
             dist.data[0, 0] = 7.0
+
+    def test_writeable_input_is_copied(self):
+        source = np.arange(6.0).reshape(3, 2)
+        dist = EmpiricalDistribution(source)
+        source[0, 0] = 99.0
+        assert dist.data is not source
+        np.testing.assert_array_equal(dist.data, np.arange(6.0).reshape(3, 2))
+        assert source.flags.writeable  # the caller's array is left alone
+
+    def test_read_only_float64_c_contiguous_input_is_kept(self):
+        source = np.arange(6.0).reshape(3, 2)
+        source.flags.writeable = False
+        assert EmpiricalDistribution(source).data is source
+
+    @pytest.mark.parametrize("source", [
+        np.arange(6, dtype=np.float32).reshape(3, 2),
+        np.arange(6.0).reshape(2, 3).T,
+    ], ids=["float32", "fortran-order"])
+    def test_other_read_only_inputs_are_copied(self, source):
+        source.flags.writeable = False
+        data = EmpiricalDistribution(source).data
+        assert data is not source
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        np.testing.assert_array_equal(data, source)
+
+    def test_read_only_input_is_still_checked(self):
+        bad = np.array([[1.0, np.inf]])
+        bad.flags.writeable = False
+        with pytest.raises(InvalidSample, match="finite"):
+            EmpiricalDistribution(bad)
+        empty = np.empty((0, 2))
+        empty.flags.writeable = False
+        with pytest.raises(InvalidSample, match="shape"):
+            EmpiricalDistribution(empty)
 
 
 class TestCenterProject:
@@ -248,6 +284,54 @@ class TestMonteCarlo:
         assert started == []
         monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=2)
         assert started  # the counter sees a pool's threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_one_workspace_per_worker(self, workers):
+        # Each worker reuses one (2, 512, n) workspace. The old blocks
+        # allocated two fresh (1024, n) GEMM outputs each.
+        n = 5000
+        mu, nu = make_dist(66, n, 50), make_dist(67, n, 50, shift=0.5)
+        tracemalloc.start()
+        try:
+            monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = workers * (2 * 512 * n * 8 + 4 * 2 ** 20)
+        assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("L", [PROJECTION_BLOCK + 3, 2 * PROJECTION_BLOCK - 1])
+    def test_reused_workspace_leaks_no_rows_between_blocks(self, L, p, workers):
+        # A short last block fills only its own rows of a workspace that the
+        # full block before it wrote; each block must equal fresh projections.
+        mu, nu = make_dist(68, 30, 4), make_dist(69, 30, 4, scale=2.0)
+        _, got = monte_carlo_sw_pp(mu, nu, L, p=p, seed=9, workers=workers)
+        want = []
+        for lo in range(0, L, PROJECTION_BLOCK):
+            dirs = sample_directions(4, 9, min(PROJECTION_BLOCK, L - lo), start=lo)
+            want.append(sorted_gap_costs(dirs @ mu.data.T, dirs @ nu.data.T, p))
+        assert got.tolist() == np.concatenate(want).tolist()
+
+    def test_many_workers_never_share_a_workspace(self):
+        # More workers than cores and a short switch interval: two blocks
+        # writing one workspace at once would change their values.
+        mu, nu = make_dist(70, 200, 5), make_dist(71, 200, 5, shift=0.3)
+        L = 16 * PROJECTION_BLOCK + 7
+        _, want = monte_carlo_sw_pp(mu, nu, L, seed=4, workers=1)
+        got = []
+        runner = threading.Thread(
+            target=lambda: got.append(monte_carlo_sw_pp(mu, nu, L, seed=4, workers=8)[1]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert got[0].tolist() == want.tolist()
 
     def test_input_validation(self):
         with pytest.raises(DimMismatch):
