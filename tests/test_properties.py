@@ -136,7 +136,8 @@ def test_symmetry_is_bit_exact(name, pair):
 
 @pytest.mark.parametrize("num_projections", [PROJECTION_BLOCK - 1, PROJECTION_BLOCK,
                                              PROJECTION_BLOCK + 1, 2 * PROJECTION_BLOCK - 1,
-                                             2 * PROJECTION_BLOCK + 1])
+                                             2 * PROJECTION_BLOCK, 2 * PROJECTION_BLOCK + 1,
+                                             4 * PROJECTION_BLOCK - 1, 4 * PROJECTION_BLOCK + 1])
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(pair=pairs(max_n=6, max_d=3), seed=st.integers(0, 2**32 - 1))
 def test_worker_count_is_bit_exact_at_block_boundaries(num_projections, pair, seed):
