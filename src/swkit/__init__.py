@@ -1,20 +1,18 @@
 """Sliced-Wasserstein distances three ways, with diagnostics and benchmarks.
 
-Exact closed forms where they exist (sorted one-dimensional samples,
-univariate and isotropic Gaussians), Monte Carlo projection estimates under
-sphere-uniform or scaled-Gaussian direction laws, and a deterministic O(nd)
-approximation built on the near-Gaussianity of high-dimensional projections,
-plus the moment diagnostics that bound its error and a benchmark harness
-that measures error decay and speed against Monte Carlo.
+Exact closed forms where they exist (sorted one-dimensional samples, the
+sliced distance between isotropic Gaussians), Monte Carlo projection
+estimates under sphere-uniform or scaled-Gaussian direction laws, and a
+deterministic O(nd) approximation built on the near-Gaussianity of
+high-dimensional projections, plus the moment diagnostics that bound its
+error and a benchmark harness that measures error decay and speed against
+Monte Carlo.
 """
 
 from .core_ot import (
-    Gaussian1d,
     IsoGaussian,
     Samples1d,
     sw2_gaussian_iso_closed,
-    w2_gaussian_1d,
-    w2_gaussian_iso,
     wasserstein_1d_pp,
 )
 from .datagen import (

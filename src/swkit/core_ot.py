@@ -1,12 +1,11 @@
 """Transport distances in the regimes where closed forms exist.
 
-Covers the three building blocks everything else reduces to:
+Covers the two building blocks everything else reduces to:
 
 * order-p distance between two equal-size empirical samples on the line,
   computed by sorting (the optimal coupling pairs order statistics), for one
   pair of samples or for a batch of rows at once (the kernel behind every
   Monte Carlo projection),
-* squared 2-distance between univariate or isotropic Gaussians,
 * the exact sliced squared 2-distance between isotropic Gaussians,
   ``(1/d) * ||mean gap||^2 + (sigma gap)^2``.
 
@@ -23,12 +22,26 @@ import numpy as np
 from .errors import DimMismatch, InvalidOrder, InvalidSample, LengthMismatch
 
 
+# Elements per block of check_finite: its bool temporary is 64 KiB whatever
+# the array's size.
+_FINITE_BLOCK = 1 << 16
+
+
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise InvalidSample unless every element of the C-contiguous ``arr``
+    is finite. Blocks of _FINITE_BLOCK elements are checked in turn, so no
+    temporary grows with the array."""
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, _FINITE_BLOCK):
+        if not np.isfinite(flat[lo : lo + _FINITE_BLOCK]).all():
+            raise InvalidSample(f"{what} must be finite (no NaN or inf)")
+
+
 def _finite_1d(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
     if arr.size < 1:
         raise InvalidSample("need at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidSample("samples must be finite (no NaN or inf)")
+    check_finite(arr, "samples")
     return arr
 
 
@@ -92,20 +105,6 @@ def wasserstein_1d_pp(x: Samples1d, y: Samples1d, p: float = 2.0) -> float:
 
 
 @dataclass(frozen=True)
-class Gaussian1d:
-    """Univariate Gaussian, parameterized by mean and variance."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise InvalidSample("Gaussian parameters must be finite")
-        if self.variance < 0.0:
-            raise InvalidSample(f"variance must be >= 0, got {self.variance}")
-
-
-@dataclass(frozen=True)
 class IsoGaussian:
     """Isotropic Gaussian on R^d: N(mean, sigma^2 * I_d), sigma a scalar std."""
 
@@ -121,21 +120,6 @@ class IsoGaussian:
             raise DimMismatch(f"mean has length {self.mean.size}, expected {self.dim}")
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise InvalidSample(f"sigma must be finite and >= 0, got {self.sigma}")
-
-
-def w2_gaussian_1d(a: Gaussian1d, b: Gaussian1d) -> float:
-    """Squared 2-distance between univariate Gaussians:
-    ``(mean gap)^2 + (std gap)^2``."""
-    return (a.mean - b.mean) ** 2 + (math.sqrt(a.variance) - math.sqrt(b.variance)) ** 2
-
-
-def w2_gaussian_iso(a: IsoGaussian, b: IsoGaussian) -> float:
-    """Squared 2-distance between isotropic Gaussians on R^d:
-    ``||mean gap||^2 + d * (sigma gap)^2``."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    delta = a.mean - b.mean
-    return float(delta @ delta) + a.dim * (a.sigma - b.sigma) ** 2
 
 
 def sw2_gaussian_iso_closed(a: IsoGaussian, b: IsoGaussian) -> float:

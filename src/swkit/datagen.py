@@ -19,7 +19,7 @@ import enum
 import itertools
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from typing import Callable, TextIO
 
@@ -173,10 +173,12 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
 def atomic_write(path, write: Callable[[TextIO], object]) -> None:
     """Create or replace the text file ``path`` atomically: ``write(fh)``
     fills a temporary file in the same directory, which is renamed over
-    ``path`` once complete and removed if anything fails before that."""
+    ``path`` once complete and removed if anything fails before that. The
+    file gets the mode a plain ``open`` would give it, 0o666 under the
+    process umask."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), f"{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             write(fh)

@@ -52,7 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .core_ot import IsoGaussian, Samples1d, check_order, sorted_gap_costs, sw2_gaussian_iso_closed
+from .core_ot import (
+    IsoGaussian,
+    Samples1d,
+    check_finite,
+    check_order,
+    sorted_gap_costs,
+    sw2_gaussian_iso_closed,
+)
 from .errors import (
     DimMismatch,
     InsufficientSamples,
@@ -134,8 +141,7 @@ class EmpiricalDistribution:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidSample(f"data must be an (n, d) matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidSample("data must be finite (no NaN or inf)")
+        check_finite(arr, "data")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -516,6 +522,12 @@ def theorem2_gap_bound(stats_mu: MomentStats, stats_nu: MomentStats) -> float:
 
     The true envelope carries an unspecified universal constant; with it set
     to 1 this is an order-of-magnitude diagnostic, not a certified bound.
+
+    For :func:`sw_hat`, pass the statistics of the centered inputs
+    (:func:`center`): its mean term ``||mean gap||^2 / d`` is exact, so its
+    error is its error on the centered pair. Raw statistics of non-centered
+    data describe another pair, and give an envelope several times larger
+    that stays flat in d.
     """
     if stats_mu.dim != stats_nu.dim:
         raise DimMismatch(f"dimensions differ: {stats_mu.dim} vs {stats_nu.dim}")

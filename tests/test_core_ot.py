@@ -4,15 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from swkit import (
-    Gaussian1d,
-    IsoGaussian,
-    Samples1d,
-    sw2_gaussian_iso_closed,
-    w2_gaussian_1d,
-    w2_gaussian_iso,
-    wasserstein_1d_pp,
-)
+from swkit import IsoGaussian, Samples1d, sw2_gaussian_iso_closed, wasserstein_1d_pp
 from swkit.core_ot import check_order
 from swkit.errors import DimMismatch, InvalidOrder, InvalidSample, LengthMismatch
 
@@ -112,35 +104,9 @@ class TestWasserstein1d:
 
 
 class TestGaussianClosedForms:
-    def test_identical_1d(self):
-        assert w2_gaussian_1d(Gaussian1d(0, 1), Gaussian1d(0, 1)) == 0.0
-
-    def test_mean_shift_1d(self):
-        assert w2_gaussian_1d(Gaussian1d(0, 1), Gaussian1d(2, 1)) == 4.0
-
-    def test_scale_gap_1d(self):
-        # (sqrt(1) - sqrt(4))^2 = 1
-        assert w2_gaussian_1d(Gaussian1d(0, 1), Gaussian1d(0, 4)) == 1.0
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidSample):
-            Gaussian1d(0.0, -1.0)
-
     def test_iso_identical(self):
         a = IsoGaussian(3, np.zeros(3), 1.0)
-        assert w2_gaussian_iso(a, a) == 0.0
         assert sw2_gaussian_iso_closed(a, a) == 0.0
-
-    def test_iso_scale_term(self):
-        # d * (sigma_a - sigma_b)^2 = 4 * 4
-        a = IsoGaussian(4, np.ones(4), 1.0)
-        b = IsoGaussian(4, np.ones(4), 3.0)
-        assert w2_gaussian_iso(a, b) == 16.0
-
-    def test_iso_mean_term(self):
-        a = IsoGaussian(2, np.array([0.0, 0.0]), 1.0)
-        b = IsoGaussian(2, np.array([3.0, 4.0]), 1.0)
-        assert w2_gaussian_iso(a, b) == 25.0
 
     def test_sliced_mean_term_scaled_by_dim(self):
         a = IsoGaussian(4, np.array([2.0, 0.0, 0.0, 0.0]), 1.5)
@@ -148,10 +114,11 @@ class TestGaussianClosedForms:
         assert sw2_gaussian_iso_closed(a, b) == 1.0
 
     def test_dim_one_collapses_to_univariate(self):
+        # at d = 1 the sliced and full distances are both (mean gap)^2 + (sigma gap)^2
         a = IsoGaussian(1, np.array([0.3]), 1.2)
         b = IsoGaussian(1, np.array([-0.7]), 0.4)
-        expect = w2_gaussian_1d(Gaussian1d(0.3, 1.2 ** 2), Gaussian1d(-0.7, 0.4 ** 2))
-        assert w2_gaussian_iso(a, b) == pytest.approx(expect, rel=1e-15)
+        expect = (0.3 - -0.7) ** 2 + (1.2 - 0.4) ** 2
+        assert expect == pytest.approx(1.64, rel=1e-15)
         assert sw2_gaussian_iso_closed(a, b) == pytest.approx(expect, rel=1e-15)
 
     def test_sliced_never_exceeds_full(self):
@@ -160,25 +127,23 @@ class TestGaussianClosedForms:
             d = int(g.integers(1, 8))
             a = IsoGaussian(d, g.uniform(-3, 3, d), float(g.uniform(0, 2)))
             b = IsoGaussian(d, g.uniform(-3, 3, d), float(g.uniform(0, 2)))
-            assert sw2_gaussian_iso_closed(a, b) <= w2_gaussian_iso(a, b) + 1e-15
-            # equality for identical inputs (both zero) in any dimension
+            # the full squared 2-distance: ||mean gap||^2 + d * (sigma gap)^2
+            delta = a.mean - b.mean
+            w2_sq = float(delta @ delta) + d * (a.sigma - b.sigma) ** 2
+            assert sw2_gaussian_iso_closed(a, b) <= w2_sq + 1e-15
+            # both are zero for identical inputs in any dimension
             twin = IsoGaussian(d, a.mean.copy(), a.sigma)
-            assert sw2_gaussian_iso_closed(a, twin) == w2_gaussian_iso(a, twin) == 0.0
+            assert sw2_gaussian_iso_closed(a, twin) == 0.0
 
     def test_symmetry(self):
         g = np.random.default_rng(9)
         a = IsoGaussian(5, g.uniform(-1, 1, 5), 0.7)
         b = IsoGaussian(5, g.uniform(-1, 1, 5), 1.9)
-        assert w2_gaussian_iso(a, b) == w2_gaussian_iso(b, a)
         assert sw2_gaussian_iso_closed(a, b) == sw2_gaussian_iso_closed(b, a)
-        ga, gb = Gaussian1d(0.2, 1.1), Gaussian1d(-1.0, 0.3)
-        assert w2_gaussian_1d(ga, gb) == w2_gaussian_1d(gb, ga)
 
     def test_dim_mismatch_rejected(self):
         a = IsoGaussian(2, np.zeros(2), 1.0)
         b = IsoGaussian(3, np.zeros(3), 1.0)
-        with pytest.raises(DimMismatch):
-            w2_gaussian_iso(a, b)
         with pytest.raises(DimMismatch):
             sw2_gaussian_iso_closed(a, b)
 

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from swkit import (
     sample_directions,
     save_csv,
 )
+from swkit.bench import write_records_csv
 from swkit.errors import DatasetParseError, InvalidSample
 
 
@@ -210,6 +213,18 @@ class TestCsvRoundTrip:
         save_csv(gen_factors(FactorConfig(dim=2, n=5, seed=1)), tmp_path / "out.csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_files_get_the_mode_open_gives(self, tmp_path, umask, mode):
+        dist = gen_factors(FactorConfig(dim=2, n=5, seed=1))
+        old = os.umask(umask)
+        try:
+            save_csv(dist, tmp_path / "data.csv")
+            write_records_csv([], tmp_path / "records.csv", {"seed": 1})
+        finally:
+            os.umask(old)
+        for name in ("data.csv", "records.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# metadata line\n1.0,2.0\n3.0,4.0\n")
@@ -297,6 +312,11 @@ class TestCsvReader:
     def test_non_finite_value_reports_its_line(self, tmp_path):
         err = self.fault(tmp_path, b"# comment\n1.0,2.0\nnan,3.0\n4.0,inf\n")
         assert (err.line, err.reason) == (3, "non-finite value")
+
+    def test_non_finite_value_past_the_first_block_reports_its_line(self, tmp_path):
+        # 70,000 values: the fault sits in the finiteness check's second block
+        err = self.fault(tmp_path, b"1.0\n" * 69_999 + b"-inf\n")
+        assert (err.line, err.reason) == (70_000, "non-finite value")
 
     @pytest.mark.parametrize("content,line", [(b"1.0,2.0\n\xff\xfe,3\n", 2),
                                               (b"1.0,2.0\n# caf\xe9\n3.0,4.0\n", 2),

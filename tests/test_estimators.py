@@ -33,7 +33,7 @@ from swkit import (
 )
 from swkit import estimators
 from swkit import rng as swrng
-from swkit.core_ot import sorted_gap_costs
+from swkit.core_ot import _FINITE_BLOCK, Samples1d, sorted_gap_costs
 from swkit.estimators import (
     _CENTER_BLOCK_BYTES,
     _PAIR_CHUNK,
@@ -115,6 +115,33 @@ class TestEmpiricalDistribution:
         empty.flags.writeable = False
         with pytest.raises(InvalidSample, match="shape"):
             EmpiricalDistribution(empty)
+
+    def test_finiteness_check_allocates_no_array_sized_temporary(self):
+        # a bool mask of the whole array would alone be 1.9 MiB
+        data = np.ones((2000, 1000))
+        data.flags.writeable = False
+        tracemalloc.start()
+        try:
+            EmpiricalDistribution(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, _FINITE_BLOCK - 1, 2 * _FINITE_BLOCK - 1,
+                                       3 * _FINITE_BLOCK + 50, 3 * _FINITE_BLOCK + 99],
+                             ids=["first", "end-of-first-block", "end-of-a-block", "tail",
+                                  "last"])
+    def test_nonfinite_found_in_every_block(self, bad, index):
+        values = np.ones(3 * _FINITE_BLOCK + 100)
+        values[index] = bad
+        with pytest.raises(InvalidSample, match="samples must be finite"):
+            Samples1d(values)
+        data = values.reshape(-1, 4)
+        data.flags.writeable = False
+        with pytest.raises(InvalidSample, match="data must be finite"):
+            EmpiricalDistribution(data)
 
 
 class TestCenterProject:

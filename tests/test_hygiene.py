@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: no module imports a name it never
-uses, and no module defines a private helper that nothing in the package
-reads.
+uses, no module defines a private helper that nothing in the package reads,
+and no public function or class goes uncalled by the package, the acceptance
+criteria and the benchmark. The benchmark's traced layer names must resolve.
 
 No linter is a test dependency, so this walks each module's syntax tree
 itself. ``__init__.py`` is skipped, since re-exporting names is its purpose,
@@ -8,12 +9,18 @@ and so is any import line marked ``# noqa: F401``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "swkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "swkit"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# Public functions with no caller yet: ROADMAP item 5 gives them one, the
+# envelope columns of the convergence study.
+UNCALLED_PUBLIC_ALLOWED = {"theorem2_gap_bound", "indep_bound", "weakdep_bound"}
 
 
 def unused_imports(text: str) -> list[str]:
@@ -36,22 +43,40 @@ def unused_imports(text: str) -> list[str]:
             if name not in used]
 
 
-def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes (``_name``, not dunder) of
-    ``sources`` (module file name to text) whose name no module reads, as a
-    variable or as an attribute."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
+def names_read(texts) -> set[str]:
+    """Every name the sources ``texts`` read, as a variable or as an attribute."""
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in read]
+    return read
+
+
+def top_level_defs(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """``(module file name, name)`` of each module-level function and class."""
+    return [(name, node.name) for name, text in sources.items() for node in ast.parse(text).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (``_name``, not dunder) of
+    ``sources`` (module file name to text) whose name no module reads."""
+    read = names_read(sources.values())
+    return [f"{module}: {name}" for module, name in top_level_defs(sources)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def uncalled_public(sources: dict[str, str], callers) -> list[str]:
+    """Module-level public functions and classes of ``sources`` whose name no
+    text of ``callers`` and no module of ``sources`` reads, ``__init__.py``
+    aside: it only re-exports."""
+    read = names_read([text for name, text in sources.items() if name != "__init__.py"]
+                      + list(callers))
+    return [f"{module}: {name}" for module, name in top_level_defs(sources)
+            if not name.startswith("_") and name not in read]
 
 
 def test_checker_sees_a_dead_helper():
@@ -66,6 +91,35 @@ def test_checker_sees_a_dead_helper():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert dead_helpers(sources) == []
+
+
+def test_checker_sees_an_uncalled_public_function():
+    sources = {
+        "__init__.py": "from .a import exported_only\n\nprint(exported_only)\n",
+        "a.py": "def exported_only():\n    pass\n\ndef called():\n    pass\n\n"
+                "class ByCaller:\n    pass\n\ndef _private():\n    return called()\n",
+    }
+    callers = ["import swkit\n\nswkit.ByCaller()\n"]
+    assert uncalled_public(sources, callers) == ["a.py: exported_only"]
+    assert uncalled_public(sources, []) == ["a.py: exported_only", "a.py: ByCaller"]
+
+
+def test_no_uncalled_public_api():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    callers = [(ROOT / "tests" / "test_acceptance.py").read_text()]
+    callers += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    found = uncalled_public(sources, callers)
+    assert [f for f in found if f.split(": ")[1] not in UNCALLED_PUBLIC_ALLOWED] == []
+
+
+def test_benchmark_layer_names_resolve(monkeypatch):
+    # the benchmark's tracer looks each layer up by name when it traces
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    missing = [spans.layer_name(module, func) for module, func, _ in spans.LAYERS
+               if not callable(getattr(module, func, None))]
+    assert spans.LAYERS
+    assert missing == []
 
 
 def test_checker_sees_an_unused_import():
