@@ -6,13 +6,11 @@ estimator's own clock (``SwEstimate.wall_time_ns``), so data generation and
 the reference are never timed:
 
 * :func:`run_convergence` measures, per dimension and run, the error of each
-  method against a reference value that the scenario decides: the exact
-  closed form for Gaussian scenarios, a high-projection Monte Carlo estimate
-  for gamma scenarios, and exactly zero for the AR scenarios where both
-  datasets come from the same law. By default the
-  method is the raw moment surrogate, labelled ``raw-moment``, whose error on
-  non-centered data does not vanish with dimension. This reproduces the
-  error-versus-dimension study at a desk-friendly scale by default.
+  method against a reference value that the :class:`Scenario` decides. By
+  default the method is the raw moment surrogate, labelled ``raw-moment``,
+  whose error on non-centered data does not vanish with dimension. This
+  reproduces the error-versus-dimension study at a desk-friendly scale by
+  default.
 * :func:`run_timing` compares the deterministic approximation against Monte
   Carlo at several projection counts, recording accuracy against a
   high-projection reference and wall time per estimator call, the median of
@@ -73,25 +71,27 @@ DEFAULT_ALPHAS = (0.2, 0.5, 0.8)
 _TIMING_REPS = 3
 
 class Scenario(str, enum.Enum):
-    GAUSSIAN_NONCENTERED = "gaussian-noncentered"
-    GAUSSIAN_CENTERED = "gaussian-centered"
-    GAMMA_NONCENTERED = "gamma-noncentered"
-    GAMMA_CENTERED = "gamma-centered"
-    AR1_GAUSSIAN = "ar1-gaussian"
-    AR1_STUDENT = "ar1-student"
+    """A synthetic study pair and its recipe: a factor scenario draws both
+    datasets from ``family``, ``centered`` or not; an AR scenario draws AR(1)
+    trajectories with innovations ``noise``. ``mc_reference`` is true when no
+    closed form gives the reference (gamma); otherwise it is the sliced
+    distance of the two Gaussian laws, or exactly zero for AR (one law)."""
 
+    def __new__(cls, value, family=None, centered=False, noise=None):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.family = family
+        member.centered = centered
+        member.noise = noise
+        member.mc_reference = family is FactorFamily.GAMMA
+        return member
 
-_FACTOR_SCENARIOS = {
-    Scenario.GAUSSIAN_NONCENTERED: (FactorFamily.GAUSSIAN, False),
-    Scenario.GAUSSIAN_CENTERED: (FactorFamily.GAUSSIAN, True),
-    Scenario.GAMMA_NONCENTERED: (FactorFamily.GAMMA, False),
-    Scenario.GAMMA_CENTERED: (FactorFamily.GAMMA, True),
-}
-_AR_SCENARIOS = {
-    Scenario.AR1_GAUSSIAN: NoiseKind.GAUSSIAN,
-    Scenario.AR1_STUDENT: NoiseKind.STUDENT_T10,
-}
-_MC_REFERENCE = (Scenario.GAMMA_NONCENTERED, Scenario.GAMMA_CENTERED)  # no closed form
+    GAUSSIAN_NONCENTERED = "gaussian-noncentered", FactorFamily.GAUSSIAN
+    GAUSSIAN_CENTERED = "gaussian-centered", FactorFamily.GAUSSIAN, True
+    GAMMA_NONCENTERED = "gamma-noncentered", FactorFamily.GAMMA
+    GAMMA_CENTERED = "gamma-centered", FactorFamily.GAMMA, True
+    AR1_GAUSSIAN = "ar1-gaussian", None, False, NoiseKind.GAUSSIAN
+    AR1_STUDENT = "ar1-student", None, False, NoiseKind.STUDENT_T10
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ class MethodSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        if self.method.is_mc and self.L < 1:
-            raise InvalidSample(f"Monte Carlo method needs L >= 1, got {self.L}")
+        object.__setattr__(self, "L", self.method.check_args(self.L, 2.0)[0])
         if not self.method.is_mc and self.L != 0:
             raise InvalidSample(f"non-Monte-Carlo method must have L = 0, got {self.L}")
 
@@ -126,10 +125,8 @@ class ExperimentConfig:
     each record's wall time from the estimator's own clock. ``burn_in`` feeds
     the AR generator.
 
-    The scenario decides the reference: the closed-form sliced distance of
-    the two Gaussian laws, exactly zero for the AR scenarios (one law on both
-    sides), and for gamma scenarios a sphere Monte Carlo estimate with
-    ``reference_L`` projections.
+    The scenario decides the reference (:class:`Scenario`); a Monte Carlo
+    reference is a sphere estimate with ``reference_L`` projections.
     """
 
     scenario: Scenario
@@ -153,7 +150,7 @@ class ExperimentConfig:
             raise InvalidSample(f"d_grid must be strictly increasing, got {self.d_grid}")
         if self.runs < 1 or self.n < 1:
             raise InvalidSample(f"runs and n must be >= 1, got runs={self.runs}, n={self.n}")
-        is_ar = self.scenario in _AR_SCENARIOS
+        is_ar = self.scenario.noise is not None
         if is_ar and not self.alpha_list:
             raise InvalidSample(f"scenario {self.scenario.value} needs a nonempty alpha_list")
         if not is_ar and self.alpha_list:
@@ -204,6 +201,15 @@ RECORD_FIELDS = tuple(f.name for f in fields(ResultRecord))
 SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
 
 
+def _study_config(paper_scale: bool, desk: dict, **fields) -> ExperimentConfig:
+    """``ExperimentConfig(**fields)``, each None field set to its paper-scale
+    size under ``paper_scale``, else to its ``desk`` value, else left default."""
+    sizes = {"n": PAPER_N, "runs": PAPER_RUNS, "burn_in": PAPER_BURN_IN} if paper_scale else desk
+    return ExperimentConfig(**{name: sizes[name] if value is None else value
+                               for name, value in fields.items()
+                               if value is not None or name in sizes})
+
+
 def default_convergence_config(
     scenario: Scenario,
     paper_scale: bool = False,
@@ -217,16 +223,10 @@ def default_convergence_config(
     """Convergence-experiment config with desk-scale defaults (paper-scale
     sizes behind the flag) for the raw moment surrogate."""
     scenario = Scenario(scenario)
-    is_ar = scenario in _AR_SCENARIOS
-    return ExperimentConfig(
-        scenario=scenario,
-        d_grid=tuple(d_grid) if d_grid is not None else DESK_D_GRID,
-        n=n if n is not None else (PAPER_N if paper_scale else DESK_N),
-        runs=runs if runs is not None else (PAPER_RUNS if paper_scale else DESK_RUNS),
-        alpha_list=tuple(alpha_list) if alpha_list is not None else (DEFAULT_ALPHAS if is_ar else ()),
-        master_seed=master_seed,
-        burn_in=burn_in if burn_in is not None else (PAPER_BURN_IN if paper_scale else DESK_BURN_IN),
-    )
+    if alpha_list is None and scenario.noise is not None:
+        alpha_list = DEFAULT_ALPHAS
+    return _study_config(paper_scale, {}, scenario=scenario, master_seed=master_seed,
+                         d_grid=d_grid, n=n, runs=runs, alpha_list=alpha_list, burn_in=burn_in)
 
 
 def default_timing_config(
@@ -242,14 +242,9 @@ def default_timing_config(
     methods = (MethodSpec(Method.DETERMINISTIC),) + tuple(
         MethodSpec(Method.MONTE_CARLO_SPHERE, L) for L in TIMING_L_GRID
     )
-    return ExperimentConfig(
-        scenario=Scenario.GAMMA_CENTERED,
-        d_grid=tuple(d_grid) if d_grid is not None else DESK_D_GRID,
-        n=n if n is not None else (PAPER_N if paper_scale else DESK_N),
-        runs=runs if runs is not None else (PAPER_RUNS if paper_scale else 3),
-        methods=methods,
-        master_seed=master_seed,
-    )
+    return _study_config(paper_scale, {"runs": 3},
+                         scenario=Scenario.GAMMA_CENTERED, master_seed=master_seed,
+                         d_grid=d_grid, n=n, runs=runs, methods=methods)
 
 
 def _cell_seed(cfg: ExperimentConfig, alpha_idx: int, d: int, run: int) -> int:
@@ -258,32 +253,27 @@ def _cell_seed(cfg: ExperimentConfig, alpha_idx: int, d: int, run: int) -> int:
 
 def _generate_pair(cfg, d, alpha, cell_seed):
     """Build the two datasets of one cell plus the closed-form reference
-    (None when only a Monte Carlo reference exists)."""
-    if cfg.scenario in _FACTOR_SCENARIOS:
-        family, centered = _FACTOR_SCENARIOS[cfg.scenario]
-        cfg_a = FactorConfig(dim=d, n=cfg.n, family=family, centered=centered,
-                             role=DatasetRole.FIRST, seed=cell_seed)
-        cfg_b = FactorConfig(dim=d, n=cfg.n, family=family, centered=centered,
-                             role=DatasetRole.SECOND, seed=cell_seed)
-        mu, nu = gen_factors(cfg_a), gen_factors(cfg_b)
-        closed_ref = None
-        if family is FactorFamily.GAUSSIAN:
-            ha, hb = factor_hyperparams(cfg_a), factor_hyperparams(cfg_b)
-            zeros = np.zeros(d)
-            ga = IsoGaussian(d, zeros if centered else ha.per_column, ha.scale)
-            gb = IsoGaussian(d, zeros if centered else hb.per_column, hb.scale)
-            closed_ref = sw2_gaussian_iso_closed(ga, gb)
-        return mu, nu, closed_ref
-    noise = _AR_SCENARIOS[cfg.scenario]
-    mu = gen_ar1(Ar1Config(dim=d, n=cfg.n, alpha=alpha, noise=noise, burn_in=cfg.burn_in,
-                           seed=rng.derive_seed(cell_seed, "traj", 0)))
-    nu = gen_ar1(Ar1Config(dim=d, n=cfg.n, alpha=alpha, noise=noise, burn_in=cfg.burn_in,
-                           seed=rng.derive_seed(cell_seed, "traj", 1)))
-    return mu, nu, 0.0  # same law on both sides: the true distance is zero
+    (None when the scenario's reference is Monte Carlo)."""
+    scenario = cfg.scenario
+    if scenario.noise is not None:
+        mu, nu = (gen_ar1(Ar1Config(dim=d, n=cfg.n, alpha=alpha, noise=scenario.noise,
+                                    burn_in=cfg.burn_in,
+                                    seed=rng.derive_seed(cell_seed, "traj", side)))
+                  for side in (0, 1))
+        return mu, nu, 0.0  # same law on both sides: the true distance is zero
+    cfg_a, cfg_b = (FactorConfig(dim=d, n=cfg.n, family=scenario.family,
+                                 centered=scenario.centered, role=role, seed=cell_seed)
+                    for role in (DatasetRole.FIRST, DatasetRole.SECOND))
+    mu, nu = gen_factors(cfg_a), gen_factors(cfg_b)
+    if scenario.mc_reference:
+        return mu, nu, None
+    ga, gb = (IsoGaussian(d, np.zeros(d) if scenario.centered else h.per_column, h.scale)
+              for h in (factor_hyperparams(cfg_a), factor_hyperparams(cfg_b)))
+    return mu, nu, sw2_gaussian_iso_closed(ga, gb)
 
 
 def _reference_sq(cfg, mu, nu, closed_ref, cell_seed) -> float:
-    if closed_ref is not None:
+    if not cfg.scenario.mc_reference:
         return closed_ref
     return estimate(mu, nu, Method.MONTE_CARLO_SPHERE, L=cfg.reference_L,
                     seed=rng.derive_seed(cell_seed, "reference")).value_sq
@@ -432,14 +422,13 @@ def _format_value(value) -> str:
 def config_metadata(cfg: ExperimentConfig) -> dict:
     """Provenance recorded at the top of a records CSV: the configuration,
     then the environment that ran it."""
-    mc_reference = cfg.scenario in _MC_REFERENCE
     return {
         "scenario": cfg.scenario.value,
         "n": cfg.n,
         "runs": cfg.runs,
         "master_seed": cfg.master_seed,
-        "reference": "monte-carlo" if mc_reference else "closed-form",
-        "reference_L": cfg.reference_L if mc_reference else "",
+        "reference": "monte-carlo" if cfg.scenario.mc_reference else "closed-form",
+        "reference_L": cfg.reference_L if cfg.scenario.mc_reference else "",
         "burn_in": cfg.burn_in,
         "hyperparams": "regenerated-per-run",
         "python": platform.python_version(),

@@ -14,8 +14,7 @@ import os
 import sys
 
 from . import bench, datagen
-from .core_ot import check_order
-from .errors import InvalidOrder, SwkitError
+from .errors import InvalidOrder, InvalidSample, SwkitError
 from .estimators import (
     PAIR_BUDGET_DEFAULT,
     Method,
@@ -154,15 +153,16 @@ def _print_estimate(est: SwEstimate) -> None:
 
 def cmd_estimate(args) -> int:
     method = Method(args.method)
-    if method.is_mc and args.L < 1:
-        raise UsageError(f"--L must be >= 1 for Monte Carlo methods, got {args.L}")
     try:
-        check_order(args.p)
+        try:
+            L, p = method.check_args(args.L, args.p)
+        except InvalidSample as exc:
+            raise UsageError(f"--L: {exc}")
+        workers = _worker_count() if method.is_mc else 1  # only Monte Carlo runs a worker pool
         mu = datagen.load_csv(args.file_a)
         nu = datagen.load_csv(args.file_b)
-        workers = _worker_count() if method.is_mc else 1  # only Monte Carlo runs a worker pool
-        est = estimate(mu, nu, method, L=args.L, p=args.p, seed=args.seed, workers=workers)
-    except InvalidOrder as exc:
+        est = estimate(mu, nu, method, L=L, p=p, seed=args.seed, workers=workers)
+    except InvalidOrder as exc:  # a bad order, or an order-p cost that overflows float64
         raise UsageError(f"--p: {exc}")
     _print_estimate(est)
     return 0
@@ -254,10 +254,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"swkit: error: {exc}", file=sys.stderr)
         return 1
-    except SwkitError as exc:
-        print(f"swkit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SwkitError, OSError) as exc:
         print(f"swkit: {exc}", file=sys.stderr)
         return 2
 

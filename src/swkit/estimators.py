@@ -118,6 +118,19 @@ class Method(str, enum.Enum):
     def is_mc(self) -> bool:
         return self.law is not None
 
+    def check_args(self, L, p) -> tuple[int, float]:
+        """``(L, p)`` checked and normalized for a call of this method: Monte
+        Carlo needs L >= 1 (InvalidSample) and p passing :func:`check_order`;
+        the order-2 surrogates need p = 2 (InvalidOrder) and ignore L."""
+        if not self.is_mc:
+            if float(p) != 2.0:
+                raise InvalidOrder(f"method {self.value} is an order-2 surrogate, got p={p}")
+            return L, 2.0
+        L = int(L)
+        if L < 1:
+            raise InvalidSample(f"projection count L must be >= 1, got {L}")
+        return L, check_order(p)
+
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -246,7 +259,9 @@ class WeakDepParams:
 def center(mu: EmpiricalDistribution) -> tuple[np.ndarray, EmpiricalDistribution]:
     """Return the empirical mean and the dataset with that mean subtracted."""
     mean = mu.data.mean(axis=0)
-    return mean, EmpiricalDistribution(mu.data - mean)
+    centered = mu.data - mean
+    centered.flags.writeable = False  # so EmpiricalDistribution keeps it without a copy
+    return mean, EmpiricalDistribution(centered)
 
 
 def project(mu: EmpiricalDistribution, theta) -> Samples1d:
@@ -345,11 +360,9 @@ def monte_carlo_sw_pp(
         raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
     if mu.n != nu.n:
         raise LengthMismatch(f"sample sizes differ: {mu.n} vs {nu.n}")
-    L = int(L)
-    if L < 1:
-        raise InvalidSample(f"projection count L must be >= 1, got {L}")
-    p = check_order(p)
     law = ProjectionLaw(law)
+    method = next(m for m in Method if m.law is law)
+    L, p = method.check_args(L, p)
 
     t0 = time.perf_counter_ns()
     starts = range(0, L, PROJECTION_BLOCK)
@@ -368,7 +381,7 @@ def monte_carlo_sw_pp(
         values = np.concatenate(list(blocks))
     estimate = SwEstimate(
         value_sq=float(np.mean(values)),
-        method=next(m for m in Method if m.law is law),
+        method=method,
         num_projections=L,
         seed=int(seed),
         wall_time_ns=time.perf_counter_ns() - t0,
@@ -623,21 +636,21 @@ def estimate(
 ) -> SwEstimate:
     """Squared sliced-distance estimate by ``method``, labelled with it.
 
-    This is the only code that maps a method to its estimator. Monte Carlo
+    This is the only code that maps a method to its estimator. ``L`` and
+    ``p`` are checked first, by :meth:`Method.check_args`. Monte Carlo
     methods run :func:`monte_carlo_sw_pp` under their direction law with
     ``L``, ``p``, ``seed`` and ``workers``. The other methods are
     deterministic order-2 surrogates: they ignore ``L``, ``seed`` and
-    ``workers``, and raise :class:`InvalidOrder` unless p = 2.
+    ``workers``.
 
     * ``deterministic`` gives :func:`sw_hat`,
     * ``raw-moment`` gives :func:`sw_moment_approx_sq`.
     """
     method = Method(method)
+    L, p = method.check_args(L, p)
     if method.is_mc:
         est, _ = monte_carlo_sw_pp(mu, nu, L, p=p, law=method.law, seed=seed, workers=workers)
         return est
-    if float(p) != 2.0:
-        raise InvalidOrder(f"method {method.value} is an order-2 surrogate, got p={p}")
     if method is Method.DETERMINISTIC:
         return sw_hat(mu, nu)
     t0 = time.perf_counter_ns()

@@ -19,6 +19,7 @@ from swkit.bench import (
     summarize,
 )
 from swkit import rng
+from swkit.datagen import FactorFamily
 from swkit.errors import EmptyInput, InvalidSample, NonPositiveError
 from swkit.estimators import Method, SwEstimate, estimate
 
@@ -173,6 +174,28 @@ class TestConfigValidation:
         assert tim.n == 10_000 and tim.runs == 100
         assert tuple(m.L for m in tim.methods) == (0, 100, 1000, 5000)
         assert tim.reference_L == 20_000
+
+    def test_desk_defaults(self):
+        cfg = default_convergence_config(Scenario.GAMMA_CENTERED)
+        assert (cfg.d_grid, cfg.n, cfg.runs, cfg.alpha_list, cfg.burn_in) == (
+            (10, 32, 100, 316, 1000), 2000, 20, (), 500)
+        tim = default_timing_config()
+        assert (tim.d_grid, tim.n, tim.runs, tim.burn_in) == ((10, 32, 100, 316, 1000), 2000, 3, 500)
+        assert default_timing_config(paper_scale=True).burn_in == 500  # gamma data has no burn-in
+
+    @pytest.mark.parametrize("paper_scale", [False, True])
+    def test_overrides_win_at_either_scale(self, paper_scale):
+        cfg = default_convergence_config(Scenario.AR1_STUDENT, paper_scale=paper_scale,
+                                         d_grid=[3, 5], n=40, runs=2, alpha_list=[0.1], burn_in=7)
+        assert (cfg.d_grid, cfg.n, cfg.runs, cfg.alpha_list, cfg.burn_in) == ((3, 5), 40, 2, (0.1,), 7)
+        tim = default_timing_config(paper_scale=paper_scale, d_grid=[4], n=30, runs=1)
+        assert (tim.d_grid, tim.n, tim.runs) == ((4,), 30, 1)
+
+    def test_scenario_recipe(self):
+        for scenario in Scenario:
+            assert (scenario.family is None) != (scenario.noise is None)
+            assert scenario.centered == scenario.value.endswith("-centered")
+            assert scenario.mc_reference == (scenario.family is FactorFamily.GAMMA)
 
 
 class TestRunConvergence:

@@ -172,14 +172,26 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, ["estimate", a, a, "--p", "0.5"])
         assert code == 1
 
-    @pytest.mark.parametrize("order", ["nan", "inf", "0.5"])
-    def test_nonfinite_order_is_usage_error_before_reading(self, capsys, tmp_path, order):
+    @pytest.mark.parametrize("method, flags, sw_threads, named", [
+        pytest.param("mc-sphere", ["--p", "nan"], None, ("--p", "order"), id="nan"),
+        pytest.param("mc-sphere", ["--p", "inf"], None, ("--p", "order"), id="inf"),
+        pytest.param("mc-sphere", ["--p", "0.5"], None, ("--p", "order"), id="0.5"),
+        pytest.param("mc-sphere", ["--L", "0"], None, ("--L",), id="mc-sphere-L0"),
+        pytest.param("deterministic", ["--p", "3"], None, ("--p", "order"), id="deterministic-p3"),
+        pytest.param("raw-moment", ["--p", "3"], None, ("--p", "order"), id="raw-moment-p3"),
+        pytest.param("mc-sphere", [], "abc", ("SW_THREADS",), id="mc-sphere-bad-SW_THREADS"),
+    ])
+    def test_nonfinite_order_is_usage_error_before_reading(self, capsys, tmp_path, monkeypatch,
+                                                           method, flags, sw_threads, named):
+        # every usage error of estimate, not only a bad order, exits 1 before a file is read
+        if sw_threads is not None:
+            monkeypatch.setenv("SW_THREADS", sw_threads)
         missing = str(tmp_path / "nope.csv")  # a read would exit 2
         code, out, err = run_cli(capsys, ["estimate", missing, missing,
-                                          "--method", "mc-sphere", "--p", order])
+                                          "--method", method, *flags])
         assert code == 1
         assert out == ""
-        assert "--p" in err and "order" in err
+        assert all(word in err for word in named)
 
     def test_overflowing_order_is_usage_error(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

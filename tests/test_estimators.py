@@ -165,6 +165,18 @@ class TestCenterProject:
         assert np.max(np.abs(mean2)) <= 1e-12 * scale
         np.testing.assert_allclose(centered2.data, centered.data, atol=1e-12 * scale)
 
+    def test_center_does_not_copy_the_difference(self):
+        data = np.ones((2000, 1000))
+        data.flags.writeable = False
+        dist = EmpiricalDistribution(data)
+        tracemalloc.start()
+        try:
+            center(dist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * data.nbytes  # a second copy would be 2x
+
     def test_project_basis_vector(self):
         dist = make_dist(1, 20, 5)
         e1 = np.eye(5)[0]
@@ -892,6 +904,21 @@ class TestSwEstimateInvariants:
             if not method.is_mc:
                 assert estimate(mu, nu, method).std_error == 0.0
         assert sw_hat(mu, nu).std_error == 0.0
+
+    def test_check_args_normalizes_or_raises(self):
+        for method in Method:
+            if method.is_mc:
+                L, p = method.check_args(np.int64(7), 3)
+                assert (L, p) == (7, 3.0) and type(L) is int and type(p) is float
+                for bad_L in (0, -1):
+                    with pytest.raises(InvalidSample, match="L must be >= 1"):
+                        method.check_args(bad_L, 2.0)
+                with pytest.raises(InvalidOrder):
+                    method.check_args(10, 0.5)
+            else:
+                assert method.check_args(0, 2) == (0, 2.0)
+                with pytest.raises(InvalidOrder, match="order-2 surrogate"):
+                    method.check_args(0, 3.0)
 
     def test_deterministic_methods_accept_only_order_two(self):
         mu, nu = make_dist(30, 40, 4), make_dist(31, 40, 4, shift=1.0)

@@ -1,7 +1,8 @@
 """Static hygiene of the package sources: no module imports a name it never
-uses, no module defines a private helper that nothing in the package reads,
-and no public function or class goes uncalled by the package, the acceptance
-criteria and the benchmark. The benchmark's traced layer names must resolve.
+uses, no module defines a private helper, constant or table that nothing in
+the package reads, and no public function or class goes uncalled by the
+package, the acceptance criteria and the benchmark. The benchmark's traced
+layer names must resolve.
 
 No linter is a test dependency, so this walks each module's syntax tree
 itself. ``__init__.py`` is skipped, since re-exporting names is its purpose,
@@ -61,11 +62,21 @@ def top_level_defs(sources: dict[str, str]) -> list[tuple[str, str]]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
+def top_level_assigned(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """``(module file name, name)`` of each name a module-level assignment binds."""
+    return [(module, name.id) for module, text in sources.items()
+            for node in ast.parse(text).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for name in ast.walk(target) if isinstance(name, ast.Name)]
+
+
 def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes (``_name``, not dunder) of
-    ``sources`` (module file name to text) whose name no module reads."""
+    """Module-level private functions, classes, constants and tables
+    (``_name``, not dunder) of ``sources`` (module file name to text) whose
+    name no module reads."""
     read = names_read(sources.values())
-    return [f"{module}: {name}" for module, name in top_level_defs(sources)
+    return [f"{module}: {name}"
+            for module, name in top_level_defs(sources) + top_level_assigned(sources)
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
@@ -86,6 +97,15 @@ def test_checker_sees_a_dead_helper():
         "b.py": "from . import a\n\ndef _by_attribute():\n    pass\n\nprint(a._by_attribute)\n",
     }
     assert dead_helpers(sources) == ["a.py: _dead", "a.py: _Gone"]
+
+
+def test_checker_sees_a_dead_constant():
+    sources = {
+        "a.py": "__all__ = []\n_USED = 1\n_TABLE = {'x': _USED}\n_TYPED: int = 2\n"
+                "_PAIR, _OTHER = 3, 4\n\ndef f():\n    _local = 5\n    return _OTHER\n",
+        "b.py": "from . import a\n\n_READ_ELSEWHERE = 6\nprint(a._READ_ELSEWHERE)\n",
+    }
+    assert dead_helpers(sources) == ["a.py: _TABLE", "a.py: _TYPED", "a.py: _PAIR"]
 
 
 def test_no_dead_private_helpers():
