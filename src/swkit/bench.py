@@ -49,6 +49,8 @@ from .datagen import (
     FactorFamily,
     NoiseKind,
     atomic_write,
+    check_alpha,
+    check_burn_in,
     factor_hyperparams,
     gen_ar1,
     gen_factors,
@@ -115,6 +117,14 @@ class MethodSpec:
         return self.method.value
 
 
+def _checked(field: str, check, *args) -> None:
+    """``check(*args)``, with its error message prefixed by the config field."""
+    try:
+        check(*args)
+    except SwkitError as exc:
+        raise type(exc)(f"{field}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment.
@@ -155,12 +165,10 @@ class ExperimentConfig:
             raise InvalidSample(f"scenario {self.scenario.value} needs a nonempty alpha_list")
         if not is_ar and self.alpha_list:
             raise InvalidSample(f"scenario {self.scenario.value} takes no alpha_list")
-        if any(not 0.0 <= a < 1.0 for a in self.alpha_list):
-            raise InvalidSample(f"alpha values must lie in [0, 1), got {self.alpha_list}")
-        if self.reference_L < 1:
-            raise InvalidSample(f"reference_L must be >= 1, got {self.reference_L}")
-        if self.burn_in < 0:
-            raise InvalidSample(f"burn_in must be >= 0, got {self.burn_in}")
+        for alpha in self.alpha_list:
+            _checked("alpha_list", check_alpha, alpha)
+        _checked("reference_L", Method.MONTE_CARLO_SPHERE.check_args, self.reference_L, 2.0)
+        check_burn_in(self.burn_in)  # its message already names the field
         if self.master_seed < 0:
             raise InvalidSample(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:

@@ -20,6 +20,7 @@ from .estimators import (
     Method,
     SwEstimate,
     autocov_decay,
+    check_pair_budget,
     estimate,
     exact_pair_limit,
     moment_stats,
@@ -169,10 +170,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    if isinstance(args.pair_budget, int) and args.pair_budget < 1:
-        raise UsageError(f"--pair-budget must be >= 1, got {args.pair_budget}")
+    try:
+        budget = check_pair_budget(args.pair_budget)
+    except InvalidSample as exc:
+        raise UsageError(f"--pair-budget: {exc}")
     dist = datagen.load_csv(args.file)
-    stats = moment_stats(dist, pair_budget=args.pair_budget, seed=args.seed)
+    stats = moment_stats(dist, pair_budget=budget, seed=args.seed)
     print(f"n={dist.n}")
     print(f"d={dist.dim}")
     print(f"m2_raw={stats.m2_raw!r}")

@@ -30,6 +30,9 @@ from .errors import DatasetParseError, InvalidSample
 from .estimators import EmpiricalDistribution
 
 _ROW_BLOCK = 512  # fixed trajectory block size; part of the output contract
+_AR1_NOISE_BYTES = 32 << 20  # AR(1) innovations held at once
+_AR1_CHUNK = 64  # AR(1) steps per time-major buffer, which stays in cache
+_PAD = 8  # doubles added to a transpose buffer's row stride against cache-set conflicts
 
 
 class FactorFamily(str, enum.Enum):
@@ -89,11 +92,21 @@ class Ar1Config:
     def __post_init__(self):
         if self.dim < 1 or self.n < 1:
             raise InvalidSample(f"dim and n must be >= 1, got dim={self.dim}, n={self.n}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidSample(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.burn_in < 0:
-            raise InvalidSample(f"burn_in must be >= 0, got {self.burn_in}")
+        check_alpha(self.alpha)
+        check_burn_in(self.burn_in)
         object.__setattr__(self, "noise", NoiseKind(self.noise))
+
+
+def check_alpha(alpha) -> None:
+    """The AR coefficient must lie in [0, 1) (InvalidSample)."""
+    if not 0.0 <= alpha < 1.0:
+        raise InvalidSample(f"alpha must be in [0, 1), got {alpha}")
+
+
+def check_burn_in(burn_in) -> None:
+    """The AR burn-in step count must be >= 0 (InvalidSample)."""
+    if burn_in < 0:
+        raise InvalidSample(f"burn_in must be >= 0, got {burn_in}")
 
 
 @dataclass(frozen=True)
@@ -144,28 +157,79 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
     return EmpiricalDistribution(data)
 
 
+def _ar1_noise(cfg: Ar1Config, steps: int):
+    """Yield ``(lo, eps)``: the innovations of rows ``lo, lo + 1, ...`` of the
+    dataset, ``steps`` per row, in one reused buffer of at most
+    ``_AR1_NOISE_BYTES`` (one row if a row alone is larger).
+
+    Row block b draws its rows in order from ``substream(seed, "ar1",
+    noise, b)``. The buffer holds as many whole blocks as fit, or else a run
+    of one block's rows; a stream draws the same values in one call or in
+    several, so the batching never changes a bit.
+    """
+    fit = max(1, _AR1_NOISE_BYTES // (8 * steps))
+    rows = min(cfg.n, fit - fit % _ROW_BLOCK if fit >= _ROW_BLOCK else fit)
+    buf = np.empty((rows, steps))
+    noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
+    filled = 0
+    for block, start in enumerate(range(0, cfg.n, _ROW_BLOCK)):
+        g = rng.substream(cfg.seed, "ar1", noise_code, block)
+        end = min(start + _ROW_BLOCK, cfg.n)
+        for lo in range(start, end, rows):
+            part = buf[filled : filled + min(rows, end - lo)]
+            if cfg.noise is NoiseKind.GAUSSIAN:
+                g.standard_normal(out=part)
+            else:
+                part[...] = g.standard_t(10.0, size=part.shape)
+            filled += len(part)
+            # a batch of whole blocks ends full or with the data, a run of rows with its block
+            if filled == rows or lo + len(part) == (cfg.n if rows >= _ROW_BLOCK else end):
+                yield lo + len(part) - filled, buf[:filled]
+                filled = 0
+
+
 def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     """Dataset of n independent AR(1) trajectories; row = last dim steps.
 
-    Each trajectory starts at X_1 = eps_1, iterates the recursion for
+    Each trajectory runs y_t = eps_t + alpha * y_{t-1} from y_{-1} = 0 for
     burn_in + dim steps and keeps the final dim values, by which point the
     marginal law is stationary to beyond 64-bit precision for any practical
-    burn-in (the transient decays like alpha^burn_in).
-    """
-    from scipy.signal import lfilter  # here: it loads in over a second, only AR(1) needs it
+    burn-in (the transient decays like alpha^burn_in). Each step rounds
+    alpha * y_{t-1}, then its sum with eps_t: exactly the arithmetic of
+    SciPy's IIR filter with numerator [1] and denominator [1, -alpha], so
+    the output has that filter's bits (the tests compare the two).
 
+    A step is two ufunc calls across every row of a noise batch (see
+    :func:`_ar1_noise`), on ``_AR1_CHUNK`` steps at a time transposed into a
+    small time-major buffer. Besides ``out`` this holds at most the batch,
+    a chunk no larger than it and, for Student noise, one draw of at most
+    its size.
+    """
     steps = cfg.burn_in + cfg.dim
-    noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
     out = np.empty((cfg.n, cfg.dim))
-    for block, lo in enumerate(range(0, cfg.n, _ROW_BLOCK)):
-        hi = min(lo + _ROW_BLOCK, cfg.n)
-        g = rng.substream(cfg.seed, "ar1", noise_code, block)
-        if cfg.noise is NoiseKind.GAUSSIAN:
-            eps = g.standard_normal((hi - lo, steps))
-        else:
-            eps = g.standard_t(10.0, size=(hi - lo, steps))
-        traj = lfilter([1.0], [1.0, -cfg.alpha], eps, axis=1)
-        out[lo:hi] = traj[:, cfg.burn_in :]
+    add, multiply, alpha = np.add, np.multiply, cfg.alpha
+    for lo, eps in _ar1_noise(cfg, steps):
+        rows = len(eps)
+        # Transposes go through panels of at most _ROW_BLOCK rows with a
+        # padded stride, so their strided side stays in L1 for any step count.
+        chunk = np.empty((min(_AR1_CHUNK, steps), rows + _PAD))[:, :rows]
+        panel = np.empty((min(_ROW_BLOCK, rows), _AR1_CHUNK + _PAD))
+        panels = [(slice(r, r + _ROW_BLOCK), panel[: min(_ROW_BLOCK, rows - r)])
+                  for r in range(0, rows, _ROW_BLOCK)]
+        step_rows = list(chunk)  # one view per step, made once: the loop is call-bound
+        carry = np.zeros(rows)  # alpha * y_{t-1}
+        for t0 in range(0, steps, _AR1_CHUNK):
+            w = min(_AR1_CHUNK, steps - t0)
+            for p, tmp in panels:
+                tmp[:, :w] = eps[p, t0 : t0 + w]
+                chunk[:w, p] = tmp[:, :w].T
+            for y_t in step_rows[:w]:
+                add(y_t, carry, y_t)
+                multiply(y_t, alpha, carry)
+            k = max(0, cfg.burn_in - t0)  # the chunk's first kept step
+            for p, _ in panels if k < w else ():
+                eps[p, t0 + k : t0 + w] = chunk[k:w, p].T
+        out[lo : lo + rows] = eps[:, cfg.burn_in :]
     out.flags.writeable = False  # nothing else holds it: wrapped without a copy
     return EmpiricalDistribution(out)
 

@@ -442,17 +442,24 @@ def exact_pair_limit(d: int) -> int:
     return max(PAIR_FULL_LIMIT, int(40_000 * math.sqrt((d + 4) / (d + 40))))
 
 
-def _resolve_pair_count(n: int, pair_budget, d: int = 1) -> int | None:
-    """None means full enumeration; otherwise the number of sampled pairs.
-    ``d`` defaults to 1, the dimension with the lowest "auto" limit."""
-    if pair_budget == "auto":
-        return None if n <= exact_pair_limit(d) else PAIR_BUDGET_DEFAULT
-    if pair_budget == "all":
-        return None
+def check_pair_budget(pair_budget) -> int | str:
+    """A :func:`moment_stats` pair budget checked: ``"auto"`` and ``"all"``
+    pass, anything else becomes an int that must be >= 1 (InvalidSample)."""
+    if pair_budget in ("auto", "all"):
+        return pair_budget
     budget = int(pair_budget)
     if budget < 1:
         raise InvalidSample(f"pair budget must be >= 1, got {budget}")
     return budget
+
+
+def _resolve_pair_count(n: int, pair_budget, d: int = 1) -> int | None:
+    """None means full enumeration; otherwise the number of sampled pairs.
+    ``d`` defaults to 1, the dimension with the lowest "auto" limit."""
+    budget = check_pair_budget(pair_budget)
+    if budget == "auto":
+        return None if n <= exact_pair_limit(d) else PAIR_BUDGET_DEFAULT
+    return None if budget == "all" else budget
 
 
 def moment_stats(

@@ -19,7 +19,7 @@ from swkit.bench import (
     summarize,
 )
 from swkit import rng
-from swkit.datagen import FactorFamily
+from swkit.datagen import Ar1Config, FactorFamily
 from swkit.errors import EmptyInput, InvalidSample, NonPositiveError
 from swkit.estimators import Method, SwEstimate, estimate
 
@@ -146,6 +146,26 @@ class TestConfigValidation:
     def test_reference_projection_count_checked_for_every_scenario(self, scenario):
         with pytest.raises(InvalidSample, match="reference_L"):
             ExperimentConfig(scenario=scenario, reference_L=0)
+
+    @pytest.mark.parametrize("make_config,make_owner,field", [
+        (lambda: ExperimentConfig(scenario="ar1-gaussian", alpha_list=(0.5, 1.5)),
+         lambda: Ar1Config(dim=2, n=2, alpha=1.5), "alpha_list"),
+        (lambda: ExperimentConfig(scenario="ar1-student", alpha_list=(-0.1,)),
+         lambda: Ar1Config(dim=2, n=2, alpha=-0.1), "alpha_list"),
+        (lambda: ExperimentConfig(scenario="gamma-centered", reference_L=0),
+         lambda: Method.MONTE_CARLO_SPHERE.check_args(0, 2.0), "reference_L"),
+        (lambda: ExperimentConfig(scenario="gamma-centered", burn_in=-3),
+         lambda: Ar1Config(dim=2, n=2, alpha=0.5, burn_in=-3), None),
+    ])
+    def test_config_raises_the_owners_message(self, make_config, make_owner, field):
+        # one owner per rule: the config's message is the owner's, after
+        # the field name when the owner's message does not name it
+        with pytest.raises(InvalidSample) as owner:
+            make_owner()
+        with pytest.raises(InvalidSample) as config:
+            make_config()
+        prefix = f"{field}: " if field else ""
+        assert str(config.value) == prefix + str(owner.value)
 
     def test_method_spec_validation(self):
         with pytest.raises(InvalidSample):

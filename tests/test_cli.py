@@ -75,6 +75,18 @@ class TestStartup:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_ar1_generation_does_not_load_scipy_signal(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(swkit.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from swkit import cli, datagen; "
+                "datagen.gen_ar1(datagen.Ar1Config(dim=3, n=5, alpha=0.5, burn_in=10)); "
+                "code = cli.main(['generate', '--family', 'ar1', '--alpha', '0.5', "
+                "'--burn-in', '10', '--d', '3', '--n', '5', '--out', sys.argv[2]]); "
+                "print(code, 'scipy.signal' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "ar1.csv")],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "0 False"
+
 
 class TestWorkerPoolEnv:
     def test_sw_threads_caps_pool(self, dataset_csv, capsys, monkeypatch):
@@ -271,6 +283,12 @@ class TestDiagnostics:
     def test_nonpositive_budget_usage_error(self, dataset_csv, capsys, budget):
         path = dataset_csv("a.csv")
         code, out, err = run_cli(capsys, ["diagnostics", path, "--pair-budget", budget])
+        assert code == 1
+        assert out == ""
+        assert "--pair-budget" in err
+
+    def test_nonpositive_budget_checked_before_reading(self, capsys):
+        code, out, err = run_cli(capsys, ["diagnostics", "missing.csv", "--pair-budget", "0"])
         assert code == 1
         assert out == ""
         assert "--pair-budget" in err

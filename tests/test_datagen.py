@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from swkit import (
     FactorFamily,
     NoiseKind,
     ProjectionLaw,
+    datagen,
     factor_hyperparams,
     gen_ar1,
     gen_factors,
     load_csv,
+    rng,
     sample_directions,
     save_csv,
 )
@@ -183,6 +186,57 @@ class TestAr1Generator:
             Ar1Config(dim=5, n=5, alpha=-0.1)
         with pytest.raises(InvalidSample):
             Ar1Config(dim=5, n=5, alpha=0.5, burn_in=-1)
+
+
+def lfilter_ar1(cfg):
+    """The AR(1) dataset of ``cfg`` as scipy's filter computes it: one
+    ``lfilter([1], [1, -alpha])`` per 512-row block of stream draws."""
+    from scipy.signal import lfilter  # the oracle only; swkit never loads it
+
+    steps = cfg.burn_in + cfg.dim
+    noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
+    blocks = []
+    for block, lo in enumerate(range(0, cfg.n, 512)):
+        g = rng.substream(cfg.seed, "ar1", noise_code, block)
+        shape = (min(512, cfg.n - lo), steps)
+        eps = (g.standard_normal(shape) if noise_code == 0
+               else g.standard_t(10.0, size=shape))
+        blocks.append(lfilter([1.0], [1.0, -cfg.alpha], eps, axis=1)[:, cfg.burn_in :])
+    return np.concatenate(blocks)
+
+
+class TestAr1MatchesLfilter:
+    @pytest.mark.parametrize("burn_in", [0, 1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_same_bits(self, noise, alpha, n, burn_in):
+        cfg = Ar1Config(dim=3, n=n, alpha=alpha, noise=noise, burn_in=burn_in, seed=n + burn_in)
+        assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 100, 512, 1024])
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_same_bits_for_any_noise_budget(self, monkeypatch, noise, rows):
+        # budgets of one row, a run of one block's rows, one block and two
+        # blocks: the batches must not change a bit
+        cfg = Ar1Config(dim=4, n=1100, alpha=0.8, noise=noise, burn_in=150, seed=9)
+        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * (cfg.burn_in + cfg.dim) * rows)
+        assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
+
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_transient_memory_is_bounded_by_the_noise_budget(self, monkeypatch, noise):
+        # Besides out, at most the noise batch, a chunk no larger and (Student
+        # noise) one draw no larger; a whole 512-row block alone is 8.2 MB here.
+        budget = 1 << 20
+        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", budget)
+        cfg = Ar1Config(dim=10, n=2000, alpha=0.5, noise=noise, burn_in=1990, seed=3)
+        tracemalloc.start()
+        try:
+            gen_ar1(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * cfg.n * cfg.dim + 3 * budget
 
 
 class TestCsvRoundTrip:

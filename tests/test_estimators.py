@@ -43,6 +43,7 @@ from swkit.estimators import (
     PROJECTION_BLOCK,
     _mean_and_scaled_m2,
     _resolve_pair_count,
+    check_pair_budget,
     exact_pair_limit,
 )
 from swkit.errors import (
@@ -533,6 +534,15 @@ class TestPairPaths:
         assert stats.pair_count_used == n * n
         assert stats.beta1 == pytest.approx(float(np.abs(gram).mean()), rel=1e-12)
         assert stats.beta2 == pytest.approx(float(np.sqrt((gram ** 2).mean())), rel=1e-12)
+
+    def test_check_pair_budget_normalizes_or_raises(self):
+        assert check_pair_budget("auto") == "auto" and check_pair_budget("all") == "all"
+        assert check_pair_budget("7") == 7 and check_pair_budget(1) == 1
+        for budget in (0, -5):
+            with pytest.raises(InvalidSample, match="pair budget must be >= 1"):
+                check_pair_budget(budget)
+            with pytest.raises(InvalidSample, match="pair budget must be >= 1"):
+                moment_stats(make_dist(68, 5, 2), budget)
 
     def test_auto_limit_boundary(self):
         assert PAIR_FULL_LIMIT >= 10_000

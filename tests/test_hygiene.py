@@ -1,12 +1,12 @@
-"""Static hygiene of the package sources: no module imports a name it never
-uses, no module defines a private helper, constant or table that nothing in
-the package reads, and no public function or class goes uncalled by the
-package, the acceptance criteria and the benchmark. The benchmark's traced
-layer names must resolve.
+"""Static hygiene of the package sources: no module imports inside a
+function or imports a name it never uses, no module defines a private
+helper, constant or table that nothing in the package reads, and no public
+function or class goes uncalled by the package, the acceptance criteria and
+the benchmark. The benchmark's traced layer names must resolve.
 
 No linter is a test dependency, so this walks each module's syntax tree
-itself. ``__init__.py`` is skipped, since re-exporting names is its purpose,
-and so is any import line marked ``# noqa: F401``.
+itself. The unused-import check skips ``__init__.py``, since re-exporting
+names is its purpose, and any import line marked ``# noqa: F401``.
 """
 
 import ast
@@ -42,6 +42,17 @@ def unused_imports(text: str) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in used]
+
+
+def function_imports(text: str) -> list[str]:
+    """Imports of ``text`` made inside a function or method body, where a
+    heavy module could load late and unseen by the start-up tests."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(inner.lineno for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return [f"line {line}" for line in sorted(lines)]
 
 
 def names_read(texts) -> set[str]:
@@ -147,6 +158,15 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(text) == ["line 3: pi"]
 
 
+def test_checker_sees_a_function_level_import():
+    text = ("import os\n\ndef f():\n    import json\n    return json\n\n"
+            "class C:\n    def m(self):\n        try:\n            from math import pi\n"
+            "        except ImportError:\n            pi = 3\n"
+            "        def inner():\n            import sys\n        return pi, inner\n\n"
+            "if os.sep:\n    import sys\n")
+    assert function_imports(text) == ["line 4", "line 10", "line 14"]
+
+
 def test_modules_exist():
     assert "estimators.py" in MODULES and "core_ot.py" in MODULES
 
@@ -154,3 +174,8 @@ def test_modules_exist():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_function_level_imports(module):
+    assert function_imports((SRC / module).read_text()) == []
