@@ -38,7 +38,6 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from . import rng
 from .core_ot import IsoGaussian, sw2_gaussian_iso_closed
@@ -441,7 +440,6 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
         "hyperparams": "regenerated-per-run",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         **{var: os.environ.get(var, "unset")
            for var in ("SW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},

@@ -78,9 +78,8 @@ def sorted_gap_costs(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     negligible even at n = 10^4 and above. Raises InvalidOrder when a row's
     cost overflows float64, as a large p does on gaps above 1.
     """
-    for i in range(len(x)):  # row-wise sorts hit numpy's vectorized path
-        x[i].sort()
-        y[i].sort()
+    x.sort(axis=1)
+    y.sort(axis=1)
     with np.errstate(over="ignore"):  # an overflow shows as a non-finite cost
         x -= y
         if p == 2.0:  # squaring needs no abs: it gives the same bits

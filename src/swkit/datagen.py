@@ -159,33 +159,32 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
 
 def _ar1_noise(cfg: Ar1Config, steps: int):
     """Yield ``(lo, eps)``: the innovations of rows ``lo, lo + 1, ...`` of the
-    dataset, ``steps`` per row, in one reused buffer of at most
-    ``_AR1_NOISE_BYTES`` (one row if a row alone is larger).
+    dataset, ``steps`` per row, in a buffer of at most ``_AR1_NOISE_BYTES``
+    (one row if a row alone is larger) that this generator owns and refills
+    for each batch.
 
-    Row block b draws its rows in order from ``substream(seed, "ar1",
-    noise, b)``. The buffer holds as many whole blocks as fit, or else a run
-    of one block's rows; a stream draws the same values in one call or in
-    several, so the batching never changes a bit.
+    A batch is the next run of as many consecutive rows as fit, wherever the
+    row blocks start and end. Row block b draws its rows in order from
+    ``substream(seed, "ar1", noise, b)``, opened at the block's first row;
+    a stream draws the same values in one call or in several, so the
+    batching never changes a bit.
     """
-    fit = max(1, _AR1_NOISE_BYTES // (8 * steps))
-    rows = min(cfg.n, fit - fit % _ROW_BLOCK if fit >= _ROW_BLOCK else fit)
+    rows = min(cfg.n, max(1, _AR1_NOISE_BYTES // (8 * steps)))
     buf = np.empty((rows, steps))
     noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
-    filled = 0
-    for block, start in enumerate(range(0, cfg.n, _ROW_BLOCK)):
-        g = rng.substream(cfg.seed, "ar1", noise_code, block)
-        end = min(start + _ROW_BLOCK, cfg.n)
-        for lo in range(start, end, rows):
-            part = buf[filled : filled + min(rows, end - lo)]
+    for lo in range(0, cfg.n, rows):
+        hi = min(lo + rows, cfg.n)
+        # lo, each block start after it in the batch, and hi
+        cuts = [lo, *range((lo // _ROW_BLOCK + 1) * _ROW_BLOCK, hi, _ROW_BLOCK), hi]
+        for r, stop in zip(cuts, cuts[1:]):
+            if r % _ROW_BLOCK == 0:
+                g = rng.substream(cfg.seed, "ar1", noise_code, r // _ROW_BLOCK)
+            part = buf[r - lo : stop - lo]
             if cfg.noise is NoiseKind.GAUSSIAN:
                 g.standard_normal(out=part)
             else:
                 part[...] = g.standard_t(10.0, size=part.shape)
-            filled += len(part)
-            # a batch of whole blocks ends full or with the data, a run of rows with its block
-            if filled == rows or lo + len(part) == (cfg.n if rows >= _ROW_BLOCK else end):
-                yield lo + len(part) - filled, buf[:filled]
-                filled = 0
+        yield lo, buf[: hi - lo]
 
 
 def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
@@ -200,10 +199,11 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     the output has that filter's bits (the tests compare the two).
 
     A step is two ufunc calls across every row of a noise batch (see
-    :func:`_ar1_noise`), on ``_AR1_CHUNK`` steps at a time transposed into a
-    small time-major buffer. Besides ``out`` this holds at most the batch,
-    a chunk no larger than it and, for Student noise, one draw of at most
-    its size.
+    :func:`_ar1_noise`, which owns the batch buffer), on ``_AR1_CHUNK``
+    steps at a time transposed into a small time-major chunk that this loop
+    owns. Kept steps go from the chunk straight into the batch's rows of
+    ``out``. Besides ``out`` this holds at most the batch, a chunk no larger
+    than it and, for Student noise, one draw of at most its size.
     """
     steps = cfg.burn_in + cfg.dim
     out = np.empty((cfg.n, cfg.dim))
@@ -218,6 +218,7 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
                   for r in range(0, rows, _ROW_BLOCK)]
         step_rows = list(chunk)  # one view per step, made once: the loop is call-bound
         carry = np.zeros(rows)  # alpha * y_{t-1}
+        dest = out[lo : lo + rows]
         for t0 in range(0, steps, _AR1_CHUNK):
             w = min(_AR1_CHUNK, steps - t0)
             for p, tmp in panels:
@@ -228,8 +229,7 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
                 multiply(y_t, alpha, carry)
             k = max(0, cfg.burn_in - t0)  # the chunk's first kept step
             for p, _ in panels if k < w else ():
-                eps[p, t0 + k : t0 + w] = chunk[k:w, p].T
-        out[lo : lo + rows] = eps[:, cfg.burn_in :]
+                dest[p, t0 + k - cfg.burn_in : t0 + w - cfg.burn_in] = chunk[k:w, p].T
     out.flags.writeable = False  # nothing else holds it: wrapped without a copy
     return EmpiricalDistribution(out)
 

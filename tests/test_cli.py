@@ -75,6 +75,16 @@ class TestStartup:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_import_does_not_load_scipy(self):
+        # numpy is the one run-time dependency; scipy serves only the tests.
+        src = os.path.dirname(os.path.dirname(swkit.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import swkit, swkit.cli, swkit.bench; "
+                "print('scipy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code, src],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
     def test_ar1_generation_does_not_load_scipy_signal(self, tmp_path):
         src = os.path.dirname(os.path.dirname(swkit.__file__))
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "

@@ -214,14 +214,22 @@ class TestAr1MatchesLfilter:
         cfg = Ar1Config(dim=3, n=n, alpha=alpha, noise=noise, burn_in=burn_in, seed=n + burn_in)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 100, 512, 1024])
+    @pytest.mark.parametrize("rows", [1, 100, 512, 1024, 511, 513, 700])
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_same_bits_for_any_noise_budget(self, monkeypatch, noise, rows):
-        # budgets of one row, a run of one block's rows, one block and two
-        # blocks: the batches must not change a bit
+        # budgets of one row, a run of one block's rows, one block, two
+        # blocks and runs that straddle a block boundary: the batches must
+        # not change a bit
         cfg = Ar1Config(dim=4, n=1100, alpha=0.8, noise=noise, burn_in=150, seed=9)
         monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * (cfg.burn_in + cfg.dim) * rows)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
+
+    def test_batches_are_runs_of_rows_across_block_boundaries(self, monkeypatch):
+        cfg = Ar1Config(dim=4, n=1100, alpha=0.8, burn_in=150, seed=9)
+        steps = cfg.burn_in + cfg.dim
+        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * steps * 700)
+        batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, steps)]
+        assert batches == [(0, 700), (700, 400)]
 
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_transient_memory_is_bounded_by_the_noise_budget(self, monkeypatch, noise):

@@ -388,10 +388,10 @@ class TestMonteCarlo:
         g = np.random.default_rng(0)
         mu = EmpiricalDistribution(g.standard_normal((20, 3)) * 50.0)
         nu = EmpiricalDistribution(g.gamma(2.0, 1.0, size=(20, 3)))
-        blocks = []
-        block = estimators._projection_block
-        monkeypatch.setattr(estimators, "_projection_block",
-                            lambda *args: blocks.append(args) or block(*args))
+        blocks = []  # one direction draw per block
+        draw = estimators.sample_directions
+        monkeypatch.setattr(estimators, "sample_directions",
+                            lambda *args, **kw: blocks.append(args) or draw(*args, **kw))
         with pytest.raises(InvalidOrder, match=r"p=200\.0.*overflows float64"):
             monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, p=200)
         assert len(blocks) == 1
