@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -31,11 +33,13 @@ from swkit import (
     weakdep_bound,
     xi_d,
 )
+import swkit
 from swkit import estimators
 from swkit import rng as swrng
 from swkit.core_ot import _FINITE_BLOCK, Samples1d, sorted_gap_costs
 from swkit.estimators import (
     _CENTER_BLOCK_BYTES,
+    _KAPPA2_MAX,
     _PAIR_CHUNK,
     _PAIR_TILE,
     PAIR_BUDGET_DEFAULT,
@@ -708,6 +712,13 @@ class TestSwHat:
         with pytest.raises(DimMismatch):
             sw_hat(make_dist(1, 10, 2), make_dist(2, 10, 3))
 
+    def test_dim_mismatch_fails_before_reading_the_data(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimators, "_block_sums", lambda *args: calls.append(args))
+        with pytest.raises(DimMismatch):
+            sw_hat(make_dist(1, 10, 2), make_dist(2, 10, 3))
+        assert calls == []
+
     def test_mean_free_variant_agrees_on_centered_data(self):
         mu, nu = make_dist(80, 200, 5, shift=3.0), make_dist(81, 200, 5, shift=-1.0)
         mean_mu, cmu = center(mu)
@@ -796,6 +807,122 @@ class TestCenteredPass:
         assert block_rows(d) == 1
         g = np.random.default_rng(113)
         self.check_fit(EmpiricalDistribution(g.standard_normal((3, d)) - 2.0))
+
+    @pytest.mark.parametrize("kappa2", [1.0, _KAPPA2_MAX / 2, 2 * _KAPPA2_MAX, 1e12],
+                             ids=["1", "bound/2", "2bound", "1e12"])
+    @pytest.mark.parametrize("d", [1, 40, 1000])
+    @pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (2, 1)], ids=["r-1", "r", "2r+1"])
+    def test_both_sides_of_the_kappa2_bound(self, kappa2, d, blocks):
+        dist = conditioned_dist(114, blocks[0] * block_rows(d) + blocks[1], d, kappa2)
+        mean, scaled = long_double_reference(dist.data)
+        fit_mean, fit_scaled = _mean_and_scaled_m2(dist)
+        assert fit_scaled == pytest.approx(scaled, rel=1e-12)
+        np.testing.assert_allclose(fit_mean, mean, rtol=0.0,
+                                   atol=1e-14 * float(np.abs(dist.data).max()))
+
+    def record_passes(self, monkeypatch, dist):
+        """The (rows, shifted) of every _block_sums call one fit makes."""
+        calls = []
+        block_sums = estimators._block_sums
+
+        def recording(data, rows, shift=None):
+            calls.append((len(data), shift is not None))
+            return block_sums(data, rows, shift)
+
+        monkeypatch.setattr(estimators, "_block_sums", recording)
+        _mean_and_scaled_m2(dist)
+        return calls
+
+    @pytest.mark.parametrize("n", [5, block_rows(40), 3 * block_rows(40) + 7])
+    @pytest.mark.parametrize("kappa2", [1.0, _KAPPA2_MAX / 2])
+    def test_well_conditioned_data_takes_the_raw_pass_only(self, monkeypatch, n, kappa2):
+        dist = conditioned_dist(115, n, 40, kappa2)
+        first = min(n, block_rows(40))
+        assert self.record_passes(monkeypatch, dist) == [(first, False), (n - first, False)]
+
+    @pytest.mark.parametrize("case", ["far-offset", "constant", "single-row"])
+    def test_ill_conditioned_data_skips_the_raw_pass(self, monkeypatch, case):
+        d, n = 40, 3 * block_rows(40) + 7
+        g = np.random.default_rng(116)
+        data = {"far-offset": g.standard_normal((n, d)) + 1e6,
+                "constant": np.tile(np.linspace(-2.0, 3.0, d), (n, 1)),
+                "single-row": g.standard_normal((1, d)) + 3.0}[case]
+        dist = EmpiricalDistribution(data)
+        first = min(dist.n, block_rows(d))
+        # Only the first block is read raw; its kappa^2 sends the whole
+        # dataset to the shifted pass.
+        assert self.record_passes(monkeypatch, dist) == [(first, False), (dist.n, True)]
+
+    def test_late_far_offset_falls_back_after_the_raw_pass(self, monkeypatch):
+        # A first block at the origin passes the pilot check. The k - 1 far
+        # blocks after it give the whole dataset kappa^2 = k, above the
+        # bound, so it is read a second time, shifted.
+        d, rows = 1000, block_rows(1000)
+        n = int(2 * _KAPPA2_MAX) * rows
+        data = np.random.default_rng(117).standard_normal((n, d))
+        data[rows:] += 1e6
+        dist = EmpiricalDistribution(data)
+        assert self.record_passes(monkeypatch, dist) == [
+            (rows, False), (n - rows, False), (n, True)]
+        self.check_fit(dist)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6], ids=["raw", "shifted"])
+    def test_transient_memory_is_one_block(self, shift):
+        # Neither pass makes a full-size temporary: the shifted pass holds
+        # one block buffer, the raw pass none.
+        n, d = 4000, 500
+        mu, nu = make_dist(118, n, d, shift=shift), make_dist(119, n, d, shift=shift)
+        tracemalloc.start()
+        try:
+            sw_hat(mu, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _CENTER_BLOCK_BYTES + 64 * d
+
+
+def conditioned_dist(seed, n, d, kappa2):
+    """n rows in dimension d whose kappa^2 = m2 / m2c is close to kappa2:
+    centered standard normal rows moved by an offset of squared norm
+    (kappa2 - 1) * m2c."""
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    x -= x.mean(axis=0)
+    m2c = float(np.sum(x * x)) / n
+    direction = np.random.default_rng(seed + 1).standard_normal(d)
+    direction /= np.linalg.norm(direction)
+    return EmpiricalDistribution(x + math.sqrt((kappa2 - 1.0) * m2c) * direction)
+
+
+def long_double_reference(x):
+    """Mean and normalized centered second moment by two np.longdouble passes."""
+    xl = x.astype(np.longdouble)
+    mean = xl.mean(axis=0)
+    dev = xl - mean
+    return mean.astype(np.float64), float(np.sum(dev * dev) / x.size)
+
+
+class TestBlasThreads:
+    def test_sw_hat_bits_do_not_depend_on_the_blas_thread_count(self):
+        # At n=2000, d=1000 each block holds 65,000 elements, more than the
+        # 10^4 above which OpenBLAS splits one dot across its threads. The
+        # scales differ, so the value carries the last bits of both second
+        # moments. A fresh interpreter per count: OpenBLAS reads it when
+        # numpy loads.
+        src = os.path.dirname(os.path.dirname(swkit.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import numpy as np; from swkit import EmpiricalDistribution, sw_hat; "
+                "g = np.random.default_rng(120); "
+                "mu, nu = (EmpiricalDistribution(s * g.gamma(2.0, 1.0, (2000, 1000))) "
+                "for s in (1.0, 1.5)); "
+                "far, near = (EmpiricalDistribution(x.data + 1e6) for x in (mu, nu)); "
+                "print(sw_hat(mu, nu).value_sq.hex(), sw_hat(far, near).value_sq.hex())")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", code, src], env=env,
+                                    capture_output=True, text=True, check=True)
+            outputs.append(result.stdout.strip())
+        assert outputs[0] == outputs[1]
 
 
 class TestTranslationDecompose:
