@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import swkit
 from swkit import (
     EmpiricalDistribution,
     IsoGaussian,
@@ -33,7 +34,6 @@ from swkit import (
     weakdep_bound,
     xi_d,
 )
-import swkit
 from swkit import estimators
 from swkit import rng as swrng
 from swkit.core_ot import _FINITE_BLOCK, Samples1d, sorted_gap_costs
