@@ -566,14 +566,10 @@ def _block_sums(data: np.ndarray, rows: int, shift: np.ndarray | None = None):
     """Column sums and sum of squares of ``data - shift``, or of ``data``
     itself when no shift is given, read ``rows`` rows at a time.
 
-    Per block, the column sums are one GEMV (``ones @ block``). The sum of
-    squares is ``np.vecdot`` over 8192-element runs of the flat block plus
-    one dot of its tail: OpenBLAS splits a dot of more than 10^4 elements
-    across its threads, and one flat dot per block then gave other last bits
-    under two BLAS threads than under one. At n = 10^4, d = 1000 on a 2-vCPU
-    x86-64 host one input took 8.9 ms this way, 8.5 ms with the flat dot and
-    10.9 ms with the ``einsum`` this pass used before, against 4.4-5.5 ms for
-    ``ones @ x`` alone (one BLAS thread; 7.9, 8.5 and 9.9 ms with two).
+    Per block, the column sums are one GEMV (``ones @ block``) and the sum of
+    squares is one dot per 8192-element run of the flat block. OpenBLAS
+    splits a dot of more than 10^4 elements across its threads, so runs
+    under that size keep the bits independent of the BLAS thread count.
 
     Only a shifted pass writes, into one reused block buffer on a 64-byte
     cache line: malloc aligns to 16 bytes, and a misaligned buffer made each
@@ -594,8 +590,9 @@ def _block_sums(data: np.ndarray, rows: int, shift: np.ndarray | None = None):
         col_sum += ones[: len(block)] @ block
         flat = block.reshape(-1)
         cut = len(flat) - len(flat) % 8192
-        runs = flat[:cut].reshape(-1, 8192)
-        sq_sum += float(np.vecdot(runs, runs).sum()) + float(flat[cut:] @ flat[cut:])
+        runs = flat[:cut]
+        sq_sum += (float((runs.reshape(-1, 1, 8192) @ runs.reshape(-1, 8192, 1)).sum())
+                   + float(flat[cut:] @ flat[cut:]))
     return col_sum, sq_sum
 
 
@@ -609,9 +606,11 @@ def _mean_and_scaled_m2(dist: EmpiricalDistribution) -> tuple[np.ndarray, float]
       errors of relative size eps in m2 and in ||mean||^2 give m2c an error
       of up to eps (m2 + ||mean||^2) <= 2 eps m2 = 2 kappa^2 eps m2c, where
       kappa^2 = m2 / m2c (Chan, Golub & LeVeque, The American Statistician
-      1983). The result is kept when m2c > 0 and kappa^2 <= _KAPPA2_MAX = 16,
-      so its relative error is at most 32 eps: 5 bits more than the shifted
-      pass below.
+      1983). Here eps stands for the relative rounding error of the sums,
+      which grows with their number of terms as it does in the shifted pass
+      below. The result is kept when m2c > 0 and kappa^2 <= _KAPPA2_MAX = 16,
+      so its relative error is at most 2 kappa^2 <= 32 times that of the
+      shifted pass: 5 bits.
     * Shifted pass. A pilot shift s, the mean of the first block, is
       subtracted from each block into a small reused buffer, and the same
       sums are taken of the shifted rows. With t their mean, the mean is
@@ -658,13 +657,14 @@ def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
     means and mean squared norms enter. Inputs of different dimension fail
     before either is read.
 
-    :func:`_mean_and_scaled_m2` reads each input once. When
+    :func:`_mean_and_scaled_m2` reads each input in blocks. When
     kappa^2 = m2 / m2c, the ratio of the raw to the centered second moment,
     is at most 16, it takes BLAS sums of the raw rows, and the one-pass
-    moment m2 - ||mean||^2 has at most 32 times the relative rounding error
-    of a shifted pass (5 bits). Otherwise, as for data far from the origin,
-    it sums rows minus a pilot shift, whose error does not grow with the
-    offset.
+    moment m2 - ||mean||^2 has at most 2 kappa^2 <= 32 times the relative
+    rounding error of a shifted pass (5 bits). Otherwise, as for data far
+    from the origin, it sums rows minus a pilot shift, whose error does not
+    grow with the offset. An input is read once, or twice when its first
+    block passes the kappa^2 test and the whole input does not.
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
