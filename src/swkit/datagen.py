@@ -117,7 +117,6 @@ class FactorHyperparams:
     ``scale`` is the shared Gaussian std or Gamma scale.
     """
 
-    family: FactorFamily
     per_column: np.ndarray
     scale: float
 
@@ -134,7 +133,7 @@ def factor_hyperparams(cfg: FactorConfig) -> FactorHyperparams:
         lo, hi = _GAMMA_SHAPE_RANGE[cfg.role]
         per_column = g.uniform(lo, hi, size=cfg.dim)
         scale = _GAMMA_SCALE[cfg.role]
-    return FactorHyperparams(family=cfg.family, per_column=per_column, scale=scale)
+    return FactorHyperparams(per_column=per_column, scale=scale)
 
 
 def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:

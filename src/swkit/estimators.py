@@ -235,17 +235,15 @@ class WeakDepParams:
     """Covariance-decay coefficients of a stationary coordinate sequence.
 
     ``rho0`` bounds the lag-0 terms, ``rho_max_tail`` the largest coefficient
-    over lags 1..d-1, and ``rho_inf`` the sum of the whole sequence; ``K`` is
-    the multiplicative constant of the decay condition.
+    over lags 1..d-1, and ``rho_inf`` the sum of the whole sequence.
     """
 
     rho0: float
     rho_inf: float
     rho_max_tail: float
-    K: float = 1.0
 
     def __post_init__(self):
-        for name in ("rho0", "rho_inf", "rho_max_tail", "K"):
+        for name in ("rho0", "rho_inf", "rho_max_tail"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise InvalidSample(f"{name} must be finite and >= 0, got {v}")
@@ -451,9 +449,8 @@ def check_pair_budget(pair_budget) -> int | str:
     return budget
 
 
-def _resolve_pair_count(n: int, pair_budget, d: int = 1) -> int | None:
-    """None means full enumeration; otherwise the number of sampled pairs.
-    ``d`` defaults to 1, the dimension with the lowest "auto" limit."""
+def _resolve_pair_count(n: int, pair_budget, d: int) -> int | None:
+    """None means full enumeration; otherwise the number of sampled pairs."""
     budget = check_pair_budget(pair_budget)
     if budget == "auto":
         return None if n <= exact_pair_limit(d) else PAIR_BUDGET_DEFAULT
@@ -562,25 +559,28 @@ _CENTER_BLOCK_BYTES = 1 << 19
 _KAPPA2_MAX = 16.0
 
 
-def _block_sums(data: np.ndarray, rows: int, shift: np.ndarray | None = None):
+def _block_sums(data: np.ndarray, shift: np.ndarray | None = None):
     """Column sums and sum of squares of ``data - shift``, or of ``data``
-    itself when no shift is given, read ``rows`` rows at a time.
+    itself when no shift is given, read in blocks of _CENTER_BLOCK_BYTES.
 
     Per block, the column sums are one GEMV (``ones @ block``) and the sum of
     squares is one dot per 8192-element run of the flat block. OpenBLAS
-    splits a dot of more than 10^4 elements across its threads, so runs
-    under that size keep the bits independent of the BLAS thread count.
+    splits a product of more than 10^4 elements across its threads, so
+    blocks of at most 8192 rows (the whole GEMV at d = 1) and runs of 8192
+    elements keep the bits independent of the BLAS thread count.
 
     Only a shifted pass writes, into one reused block buffer on a 64-byte
     cache line: malloc aligns to 16 bytes, and a misaligned buffer made each
     pass 12-15 % slower at n = 10^4, d = 1000.
     """
     n, d = data.shape
+    run = 8192
+    rows = min(n, run, max(1, _CENTER_BLOCK_BYTES // (data.itemsize * d)))
     if shift is not None:
-        raw = np.empty(min(rows, n) * d + 8)
+        raw = np.empty(rows * d + 8)
         start = -raw.ctypes.data % 64 // 8
-        buf = raw[start : start + min(rows, n) * d].reshape(-1, d)
-    ones = np.ones(min(rows, n))
+        buf = raw[start : start + rows * d].reshape(-1, d)
+    ones = np.ones(rows)
     col_sum = np.zeros(d)
     sq_sum = 0.0
     for lo in range(0, n, rows):
@@ -589,9 +589,9 @@ def _block_sums(data: np.ndarray, rows: int, shift: np.ndarray | None = None):
             block = np.subtract(block, shift, out=buf[: len(block)])
         col_sum += ones[: len(block)] @ block
         flat = block.reshape(-1)
-        cut = len(flat) - len(flat) % 8192
+        cut = len(flat) - len(flat) % run
         runs = flat[:cut]
-        sq_sum += (float((runs.reshape(-1, 1, 8192) @ runs.reshape(-1, 8192, 1)).sum())
+        sq_sum += (float((runs.reshape(-1, 1, run) @ runs.reshape(-1, run, 1)).sum())
                    + float(flat[cut:] @ flat[cut:]))
     return col_sum, sq_sum
 
@@ -599,7 +599,8 @@ def _block_sums(data: np.ndarray, rows: int, shift: np.ndarray | None = None):
 def _mean_and_scaled_m2(dist: EmpiricalDistribution) -> tuple[np.ndarray, float]:
     """Empirical mean and normalized centered second moment m2c/d.
 
-    The data is read in row blocks by :func:`_block_sums`, in one of two ways.
+    The data is read in row blocks by :func:`_block_sums`, raw first and,
+    when that is not accurate enough, once more shifted by the raw mean.
 
     * Raw pass. The column sums and the sum of squares of the raw rows give
       the mean and m2 = mean ||x||^2, and m2c = m2 - ||mean||^2. Rounding
@@ -611,37 +612,27 @@ def _mean_and_scaled_m2(dist: EmpiricalDistribution) -> tuple[np.ndarray, float]
       below. The result is kept when m2c > 0 and kappa^2 <= _KAPPA2_MAX = 16,
       so its relative error is at most 2 kappa^2 <= 32 times that of the
       shifted pass: 5 bits.
-    * Shifted pass. A pilot shift s, the mean of the first block, is
-      subtracted from each block into a small reused buffer, and the same
-      sums are taken of the shifted rows. With t their mean, the mean is
-      s + t and m2c = max(0, mean ||x - s||^2 - ||t||^2). Since s already
-      lies near the mean, ||t||^2 is small and the subtraction does not
-      cancel, so the relative error of m2c stays near eps at any offset.
+    * Shifted pass, for every other input (far from the origin, constant
+      or a single row). The raw mean s is subtracted from each block into a
+      small reused buffer, and the same sums are taken of the shifted rows.
+      With t their mean, the mean is s + t and m2c = max(0,
+      mean ||x - s||^2 - ||t||^2). The raw mean is accurate to the rounding
+      of the data, so ||t||^2 is tiny and the subtraction does not cancel:
+      the relative error of m2c stays near eps at any offset.
 
-    The raw pass starts with the first block. When that block alone shows
-    kappa^2 above the bound (far-from-origin, constant or single-row data),
-    the shifted pass runs instead, so such data is also read once. Data
-    whose first block passes but whose whole kappa^2 does not is read twice.
-    No full-size temporary is made on either path.
+    No full-size temporary is made on either pass.
     """
     data = dist.data
     n, d = data.shape
-    rows = max(1, _CENTER_BLOCK_BYTES // (data.itemsize * d))
-    first = data[:rows]
-    col_sum, sq_sum = _block_sums(first, rows)
-    shift = col_sum / len(first)
-    m2 = sq_sum / len(first)
-    m2c = m2 - float(shift @ shift)
+    col_sum, sq_sum = _block_sums(data)
+    mean = col_sum / n
+    m2 = sq_sum / n
+    m2c = m2 - float(mean @ mean)
     if m2c > 0.0 and m2 <= _KAPPA2_MAX * m2c:
-        rest_sum, rest_sq = _block_sums(data[rows:], rows)
-        mean = (col_sum + rest_sum) / n
-        m2 = (sq_sum + rest_sq) / n
-        m2c = m2 - float(mean @ mean)
-        if m2c > 0.0 and m2 <= _KAPPA2_MAX * m2c:
-            return mean, m2c / d
-    col_sum, sq_sum = _block_sums(data, rows, shift)
+        return mean, m2c / d
+    col_sum, sq_sum = _block_sums(data, mean)
     offset = col_sum / n
-    return shift + offset, max(0.0, sq_sum / n - float(offset @ offset)) / d
+    return mean + offset, max(0.0, sq_sum / n - float(offset @ offset)) / d
 
 
 def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
@@ -657,14 +648,14 @@ def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
     means and mean squared norms enter. Inputs of different dimension fail
     before either is read.
 
-    :func:`_mean_and_scaled_m2` reads each input in blocks. When
-    kappa^2 = m2 / m2c, the ratio of the raw to the centered second moment,
-    is at most 16, it takes BLAS sums of the raw rows, and the one-pass
-    moment m2 - ||mean||^2 has at most 2 kappa^2 <= 32 times the relative
-    rounding error of a shifted pass (5 bits). Otherwise, as for data far
-    from the origin, it sums rows minus a pilot shift, whose error does not
-    grow with the offset. An input is read once, or twice when its first
-    block passes the kappa^2 test and the whole input does not.
+    :func:`_mean_and_scaled_m2` reads each input in blocks, first by BLAS
+    sums of the raw rows. When kappa^2 = m2 / m2c, the ratio of the raw to
+    the centered second moment, is at most 16, the one-pass moment
+    m2 - ||mean||^2 is kept: it has at most 2 kappa^2 <= 32 times the
+    relative rounding error of a shifted pass (5 bits). Otherwise, as for
+    data far from the origin, the input is read once more, as rows minus
+    the raw mean, whose error does not grow with the offset. The bits do
+    not depend on the BLAS thread count.
     """
     if mu.dim != nu.dim:
         raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
@@ -681,8 +672,9 @@ def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
 
 
 def sw_moment_approx_sq(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> float:
-    """Mean-free variant of :func:`sw_hat`: squared gap between the zero-mean
-    1D Gaussian surrogates fitted to the *raw* normalized second moments.
+    """Mean-free variant of :func:`sw_hat`: :func:`sw2_gaussian_iso_closed`
+    of the zero-mean isotropic Gaussians fitted to the *raw* normalized
+    second moments.
 
     Accurate only when both datasets are (near) centered; on raw data with
     large means the error does not vanish with dimension, which is exactly
@@ -692,7 +684,9 @@ def sw_moment_approx_sq(mu: EmpiricalDistribution, nu: EmpiricalDistribution) ->
         raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
     scaled_mu = float(np.mean(np.einsum("ij,ij->i", mu.data, mu.data))) / mu.dim
     scaled_nu = float(np.mean(np.einsum("ij,ij->i", nu.data, nu.data))) / nu.dim
-    return (math.sqrt(scaled_mu) - math.sqrt(scaled_nu)) ** 2
+    zero = np.zeros(mu.dim)
+    return sw2_gaussian_iso_closed(IsoGaussian(mu.dim, zero, math.sqrt(scaled_mu)),
+                                   IsoGaussian(nu.dim, zero, math.sqrt(scaled_nu)))
 
 
 def estimate(

@@ -550,8 +550,8 @@ class TestPairPaths:
 
     def test_auto_limit_boundary(self):
         assert PAIR_FULL_LIMIT >= 10_000
-        assert _resolve_pair_count(PAIR_FULL_LIMIT, "auto") is None
-        assert _resolve_pair_count(PAIR_FULL_LIMIT + 1, "auto") == PAIR_BUDGET_DEFAULT
+        assert _resolve_pair_count(PAIR_FULL_LIMIT, "auto", 1) is None
+        assert _resolve_pair_count(PAIR_FULL_LIMIT + 1, "auto", 1) == PAIR_BUDGET_DEFAULT
 
     @pytest.mark.parametrize("n,d,exact", [(10_000, 1, True), (12_000, 1, False),
                                            (12_000, 1000, True), (10 ** 6, 1000, False)])
@@ -728,8 +728,8 @@ class TestSwHat:
         assert sw_moment_approx_sq(cmu, cnu) == pytest.approx(
             sw_hat(mu, nu).value_sq - mean_part, rel=1e-10)
 
-    def test_closed_form_gauss_route_equals_deterministic(self):
-        for shift in (1.0, 1e6):  # 1e6: far from the origin, where the pilot shift matters
+    def test_value_is_the_closed_form_of_the_two_moment_fits(self):
+        for shift in (1.0, 1e6):  # 1e6: far from the origin, where the shifted pass runs
             mu, nu = make_dist(82, 300, 7, shift=shift), make_dist(83, 280, 7, scale=1.7)
             fits = []
             for dist in (mu, nu):
@@ -747,8 +747,9 @@ def two_pass_reference(x):
 
 
 def block_rows(d):
-    """Rows per block of the centered pass at dimension d."""
-    return max(1, _CENTER_BLOCK_BYTES // (8 * d))
+    """Rows per block of the moment passes at dimension d: as many as fill
+    _CENTER_BLOCK_BYTES, at least 1 and at most 8192."""
+    return max(1, min(8192, _CENTER_BLOCK_BYTES // (8 * d)))
 
 
 class TestCenteredPass:
@@ -765,7 +766,7 @@ class TestCenteredPass:
 
     def test_far_from_origin(self):
         # Far from the origin the identity m2 - ||mean||^2 cancels to about
-        # 1e-4 relative error here; the pilot shift must keep 1e-12.
+        # 1e-4 relative error here; the shifted pass must keep 1e-12.
         g = np.random.default_rng(110)
         n, d = 4 * block_rows(40) + 7, 40
         a = g.standard_normal((n, d))
@@ -821,50 +822,66 @@ class TestCenteredPass:
                                    atol=1e-14 * float(np.abs(dist.data).max()))
 
     def record_passes(self, monkeypatch, dist):
-        """The (rows, shifted) of every _block_sums call one fit makes."""
+        """The (rows, shifted) of every _block_sums call one fit makes. A
+        shifted call must be shifted by the mean of the raw call before it."""
         calls = []
         block_sums = estimators._block_sums
 
-        def recording(data, rows, shift=None):
-            calls.append((len(data), shift is not None))
-            return block_sums(data, rows, shift)
+        def recording(data, shift=None):
+            if shift is not None:
+                np.testing.assert_array_equal(shift, calls[-1][2][0] / len(data))
+            calls.append((len(data), shift is not None, block_sums(data, shift)))
+            return calls[-1][2]
 
         monkeypatch.setattr(estimators, "_block_sums", recording)
         _mean_and_scaled_m2(dist)
-        return calls
+        return [call[:2] for call in calls]
 
     @pytest.mark.parametrize("n", [5, block_rows(40), 3 * block_rows(40) + 7])
     @pytest.mark.parametrize("kappa2", [1.0, _KAPPA2_MAX / 2])
     def test_well_conditioned_data_takes_the_raw_pass_only(self, monkeypatch, n, kappa2):
         dist = conditioned_dist(115, n, 40, kappa2)
-        first = min(n, block_rows(40))
-        assert self.record_passes(monkeypatch, dist) == [(first, False), (n - first, False)]
+        assert self.record_passes(monkeypatch, dist) == [(n, False)]
 
     @pytest.mark.parametrize("case", ["far-offset", "constant", "single-row"])
-    def test_ill_conditioned_data_skips_the_raw_pass(self, monkeypatch, case):
+    def test_ill_conditioned_data_takes_the_shifted_pass_after_the_raw_pass(
+            self, monkeypatch, case):
         d, n = 40, 3 * block_rows(40) + 7
         g = np.random.default_rng(116)
         data = {"far-offset": g.standard_normal((n, d)) + 1e6,
                 "constant": np.tile(np.linspace(-2.0, 3.0, d), (n, 1)),
                 "single-row": g.standard_normal((1, d)) + 3.0}[case]
         dist = EmpiricalDistribution(data)
-        first = min(dist.n, block_rows(d))
-        # Only the first block is read raw; its kappa^2 sends the whole
-        # dataset to the shifted pass.
-        assert self.record_passes(monkeypatch, dist) == [(first, False), (dist.n, True)]
+        # kappa^2 of the raw pass is above the bound (or m2c is not
+        # positive), so the data is read once more, shifted by the raw mean.
+        assert self.record_passes(monkeypatch, dist) == [(dist.n, False), (dist.n, True)]
 
     def test_late_far_offset_falls_back_after_the_raw_pass(self, monkeypatch):
-        # A first block at the origin passes the pilot check. The k - 1 far
-        # blocks after it give the whole dataset kappa^2 = k, above the
-        # bound, so it is read a second time, shifted.
+        # A first block at the origin and the k - 1 far blocks after it give
+        # the whole dataset kappa^2 = k, above the bound, so it is read a
+        # second time, shifted.
         d, rows = 1000, block_rows(1000)
         n = int(2 * _KAPPA2_MAX) * rows
         data = np.random.default_rng(117).standard_normal((n, d))
         data[rows:] += 1e6
         dist = EmpiricalDistribution(data)
-        assert self.record_passes(monkeypatch, dist) == [
-            (rows, False), (n - rows, False), (n, True)]
+        assert self.record_passes(monkeypatch, dist) == [(n, False), (n, True)]
         self.check_fit(dist)
+
+    def test_drifting_data_keeps_full_accuracy(self):
+        # The first block sits at the origin and every later row at 1e6, so
+        # the first block's mean is a poor shift for the whole set. The pass
+        # shifted by the raw mean must match a long-double reference to 1e-15.
+        n, d = 10_010, 1000
+        data = np.random.default_rng(121).standard_normal((n, d))
+        data[block_rows(d):] += 1e6
+        data.flags.writeable = False  # wrapped without a copy
+        dist = EmpiricalDistribution(data)
+        mean, scaled = long_double_reference(data)
+        fit_mean, fit_scaled = _mean_and_scaled_m2(dist)
+        assert fit_scaled == pytest.approx(scaled, rel=1e-15)
+        np.testing.assert_allclose(fit_mean, mean, rtol=0.0,
+                                   atol=1e-14 * float(np.abs(data).max()))
 
     @pytest.mark.parametrize("shift", [0.0, 1e6], ids=["raw", "shifted"])
     def test_transient_memory_is_one_block(self, shift):
@@ -895,19 +912,20 @@ def conditioned_dist(seed, n, d, kappa2):
 
 def long_double_reference(x):
     """Mean and normalized centered second moment by two np.longdouble passes."""
-    xl = x.astype(np.longdouble)
-    mean = xl.mean(axis=0)
-    dev = xl - mean
-    return mean.astype(np.float64), float(np.sum(dev * dev) / x.size)
+    dev = x.astype(np.longdouble)
+    mean = dev.mean(axis=0)
+    dev -= mean
+    return mean.astype(np.float64), float(np.einsum("ij,ij->", dev, dev) / x.size)
 
 
 class TestBlasThreads:
     def test_sw_hat_bits_do_not_depend_on_the_blas_thread_count(self):
         # At n=2000, d=1000 each block holds 65,000 elements, more than the
-        # 10^4 above which OpenBLAS splits one dot across its threads. The
-        # scales differ, so the value carries the last bits of both second
-        # moments. A fresh interpreter per count: OpenBLAS reads it when
-        # numpy loads.
+        # 10^4 above which OpenBLAS splits one dot across its threads. At
+        # n=3e5, d=1 the column sums of a 512 KiB block would be one such
+        # dot. The scales differ, so the value carries the last bits of both
+        # second moments. A fresh interpreter per count: OpenBLAS reads it
+        # when numpy loads.
         src = os.path.dirname(os.path.dirname(swkit.__file__))
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "import numpy as np; from swkit import EmpiricalDistribution, sw_hat; "
@@ -915,7 +933,11 @@ class TestBlasThreads:
                 "mu, nu = (EmpiricalDistribution(s * g.gamma(2.0, 1.0, (2000, 1000))) "
                 "for s in (1.0, 1.5)); "
                 "far, near = (EmpiricalDistribution(x.data + 1e6) for x in (mu, nu)); "
-                "print(sw_hat(mu, nu).value_sq.hex(), sw_hat(far, near).value_sq.hex())")
+                "g = np.random.default_rng(121); "
+                "a, b = (EmpiricalDistribution(s * g.gamma(2.0, 1.0, (300000, 1))) "
+                "for s in (1.0, 1.5)); "
+                "print(sw_hat(mu, nu).value_sq.hex(), sw_hat(far, near).value_sq.hex(), "
+                "sw_hat(a, b).value_sq.hex())")
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)

@@ -1,8 +1,9 @@
 """Static hygiene of the package sources: no module imports inside a
 function or imports a name it never uses, no module defines a private
-helper, constant or table that nothing in the package reads, and no public
+helper, constant or table that nothing in the package reads, no public
 function or class goes uncalled by the package, the acceptance criteria and
-the benchmark. The benchmark's traced layer names must resolve.
+the benchmark, and no module reads a numpy name that the declared floor,
+numpy 1.24, lacks. The benchmark's traced layer names must resolve.
 
 No linter is a test dependency, so this walks each module's syntax tree
 itself. The unused-import check skips ``__init__.py``, since re-exporting
@@ -22,6 +23,14 @@ MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Public functions with no caller yet: ROADMAP item 5 gives them one, the
 # envelope columns of the convergence study.
 UNCALLED_PUBLIC_ALLOWED = {"theorem2_gap_bound", "indep_bound", "weakdep_bound"}
+
+# Names numpy added in 2.0. pyproject.toml declares numpy>=1.24, where
+# reading any of them raises AttributeError or ImportError.
+NUMPY2_ONLY = {
+    "vecdot", "matrix_transpose", "unstack", "concat", "permute_dims", "pow", "astype",
+    "isdtype", "cumulative_sum", "cumulative_prod", "matvec", "vecmat", "unique_values",
+    "unique_counts", "unique_inverse", "unique_all", "bitwise_count",
+}
 
 
 def unused_imports(text: str) -> list[str]:
@@ -53,6 +62,29 @@ def function_imports(text: str) -> list[str]:
             lines.update(inner.lineno for inner in ast.walk(node)
                          if isinstance(inner, (ast.Import, ast.ImportFrom)))
     return [f"line {line}" for line in sorted(lines)]
+
+
+def numpy2_names(text: str) -> list[str]:
+    """Numpy-2-only names that ``text`` reads from numpy or a numpy
+    submodule, as an attribute of an imported alias or by a from-import."""
+    tree = ast.parse(text)
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] == "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in NUMPY2_ONLY]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                found.append((node.lineno, node.attr))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 def names_read(texts) -> set[str]:
@@ -179,3 +211,17 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_function_level_imports(module):
     assert function_imports((SRC / module).read_text()) == []
+
+
+def test_checker_sees_a_numpy2_only_name():
+    text = ("import numpy as np\nimport numpy\nfrom numpy import concat, stack\n"
+            "from numpy.linalg import matrix_transpose\n\n"
+            "def f(x):\n    y = x.astype(float)\n    z = np.vecdot(x, x) + numpy.linalg.vecdot(x, x)\n"
+            "    return np.matmul(y, z), stack, concat, matrix_transpose\n")
+    assert numpy2_names(text) == ["line 3: concat", "line 4: matrix_transpose",
+                                  "line 8: vecdot", "line 8: vecdot"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_numpy2_only_names(module):
+    assert numpy2_names((SRC / module).read_text()) == []
