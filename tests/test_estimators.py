@@ -843,18 +843,44 @@ class TestCenteredPass:
         dist = conditioned_dist(115, n, 40, kappa2)
         assert self.record_passes(monkeypatch, dist) == [(n, False)]
 
+    @staticmethod
+    def ill_conditioned(case):
+        """Inputs whose raw pass gives kappa^2 above the bound, or m2c <= 0."""
+        d, n = 40, 3 * block_rows(40) + 7
+        g = np.random.default_rng(116)
+        return EmpiricalDistribution({
+            "far-offset": g.standard_normal((n, d)) + 1e6,
+            "constant": np.tile(np.linspace(-2.0, 3.0, d), (n, 1)),
+            "single-row": g.standard_normal((1, d)) + 3.0}[case])
+
     @pytest.mark.parametrize("case", ["far-offset", "constant", "single-row"])
     def test_ill_conditioned_data_takes_the_shifted_pass_after_the_raw_pass(
             self, monkeypatch, case):
-        d, n = 40, 3 * block_rows(40) + 7
-        g = np.random.default_rng(116)
-        data = {"far-offset": g.standard_normal((n, d)) + 1e6,
-                "constant": np.tile(np.linspace(-2.0, 3.0, d), (n, 1)),
-                "single-row": g.standard_normal((1, d)) + 3.0}[case]
-        dist = EmpiricalDistribution(data)
+        dist = self.ill_conditioned(case)
         # kappa^2 of the raw pass is above the bound (or m2c is not
         # positive), so the data is read once more, shifted by the raw mean.
         assert self.record_passes(monkeypatch, dist) == [(dist.n, False), (dist.n, True)]
+
+    @pytest.mark.parametrize("case", ["far-offset", "constant", "single-row"])
+    def test_ill_conditioned_data_skips_the_raw_pass(self, case):
+        # The raw pass is still read (the test above), but its moment is
+        # skipped: the fit is the shifted pass's, exact for a constant set or
+        # a single row and within 1e-12 of the long-double reference far out.
+        dist = self.ill_conditioned(case)
+        fit_mean, fit_scaled = _mean_and_scaled_m2(dist)
+        if case == "far-offset":
+            mean, scaled = long_double_reference(dist.data)
+            n, d = dist.data.shape
+            col_sum, sq_sum = estimators._block_sums(dist.data)
+            raw_mean = col_sum / n
+            raw_scaled = (sq_sum / n - float(raw_mean @ raw_mean)) / d
+            assert raw_scaled != pytest.approx(scaled, rel=1e-6)
+            assert fit_scaled == pytest.approx(scaled, rel=1e-12)
+            np.testing.assert_allclose(fit_mean, mean, rtol=0.0,
+                                       atol=1e-14 * float(np.abs(dist.data).max()))
+        else:
+            assert fit_scaled == 0.0
+            np.testing.assert_array_equal(fit_mean, dist.data[0])
 
     def test_late_far_offset_falls_back_after_the_raw_pass(self, monkeypatch):
         # A first block at the origin and the k - 1 far blocks after it give
