@@ -2,11 +2,11 @@
 
 Exact closed forms where they exist (sorted one-dimensional samples, the
 sliced distance between isotropic Gaussians), Monte Carlo projection
-estimates under sphere-uniform or scaled-Gaussian direction laws, and a
-deterministic O(nd) approximation built on the near-Gaussianity of
-high-dimensional projections, plus the moment diagnostics that bound its
-error and a benchmark harness that measures error decay and speed against
-Monte Carlo.
+estimates under sphere-uniform or scaled-Gaussian direction laws (plain, or
+with control variates from the moment fit), and a deterministic O(nd)
+approximation built on the near-Gaussianity of high-dimensional
+projections, plus the moment diagnostics that bound its error and a
+benchmark harness that measures error decay and speed against Monte Carlo.
 """
 
 from .core_ot import (
@@ -52,6 +52,7 @@ from .estimators import (
     gaussian_projection_constant,
     indep_bound,
     moment_stats,
+    monte_carlo_sw_cv,
     monte_carlo_sw_pp,
     project,
     sample_directions,

@@ -55,7 +55,7 @@ from .datagen import (
     gen_factors,
 )
 from .errors import EmptyInput, InvalidSample, NonPositiveError, SwkitError
-from .estimators import Method, estimate
+from .estimators import PROJECTION_BLOCK, Method, estimate, monte_carlo_sw_cv
 from .estimators import sw_hat  # noqa: F401  (the benchmark's tracer test looks it up here)
 
 DESK_D_GRID = (10, 32, 100, 316, 1000)
@@ -75,8 +75,9 @@ class Scenario(str, enum.Enum):
     """A synthetic study pair and its recipe: a factor scenario draws both
     datasets from ``family``, ``centered`` or not; an AR scenario draws AR(1)
     trajectories with innovations ``noise``. ``mc_reference`` is true when no
-    closed form gives the reference (gamma); otherwise it is the sliced
-    distance of the two Gaussian laws, or exactly zero for AR (one law)."""
+    closed form gives the reference (gamma), which is then an ``mc-cv``
+    estimate; otherwise it is the sliced distance of the two Gaussian laws,
+    or exactly zero for AR (one law)."""
 
     def __new__(cls, value, family=None, centered=False, noise=None):
         member = str.__new__(cls, value)
@@ -134,8 +135,10 @@ class ExperimentConfig:
     each record's wall time from the estimator's own clock. ``burn_in`` feeds
     the AR generator.
 
-    The scenario decides the reference (:class:`Scenario`); a Monte Carlo
-    reference is a sphere estimate with ``reference_L`` projections.
+    The scenario decides the reference (:class:`Scenario`). A Monte Carlo
+    reference is an ``mc-cv`` estimate as accurate as plain sphere Monte
+    Carlo with ``reference_L`` projections (:func:`_reference`), so
+    ``reference_L`` obeys the ``mc-cv`` rule: at least 8.
     """
 
     scenario: Scenario
@@ -166,7 +169,7 @@ class ExperimentConfig:
             raise InvalidSample(f"scenario {self.scenario.value} takes no alpha_list")
         for alpha in self.alpha_list:
             _checked("alpha_list", check_alpha, alpha)
-        _checked("reference_L", Method.MONTE_CARLO_SPHERE.check_args, self.reference_L, 2.0)
+        _checked("reference_L", Method.MONTE_CARLO_CV.check_args, self.reference_L, 2.0)
         check_burn_in(self.burn_in)  # its message already names the field
         if self.master_seed < 0:
             raise InvalidSample(f"master_seed must be >= 0, got {self.master_seed}")
@@ -177,7 +180,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ResultRecord:
     """One experiment cell result, one column of the records CSV per field in
-    this order; ``abs_error`` lives on the distance scale."""
+    this order; ``abs_error`` lives on the distance scale. ``reference_se``
+    is the standard error of ``reference_sq``: that of the ``mc-cv``
+    estimate for gamma cells, 0.0 for closed-form and AR references."""
 
     scenario: str
     run_id: int
@@ -187,6 +192,7 @@ class ResultRecord:
     method: str
     estimate_sq: float
     reference_sq: float
+    reference_se: float
     abs_error: float
     wall_time_ns: int
     seed: int
@@ -279,11 +285,28 @@ def _generate_pair(cfg, d, alpha, cell_seed):
     return mu, nu, sw2_gaussian_iso_closed(ga, gb)
 
 
-def _reference_sq(cfg, mu, nu, closed_ref, cell_seed) -> float:
+def _reference(cfg, mu, nu, closed_ref, cell_seed) -> tuple[float, float]:
+    """The cell's reference value and its standard error: a closed form with
+    error 0, or, for gamma, the ``mc-cv`` estimate on directions 0..L-1 of
+    the cell's reference stream.
+
+    L starts at min(reference_L, PROJECTION_BLOCK). The target standard
+    error is sd(w) / sqrt(reference_L), that of plain sphere Monte Carlo at
+    reference_L, read from the same draws. Only when the estimate misses it
+    does L grow, to the count its 1/sqrt(L) law asks for, rounded up to
+    whole blocks and capped at reference_L."""
     if not cfg.scenario.mc_reference:
-        return closed_ref
-    return estimate(mu, nu, Method.MONTE_CARLO_SPHERE, L=cfg.reference_L,
-                    seed=rng.derive_seed(cell_seed, "reference")).value_sq
+        return closed_ref, 0.0
+    seed = rng.derive_seed(cell_seed, "reference")
+    first = min(cfg.reference_L, PROJECTION_BLOCK)
+    est, w = monte_carlo_sw_cv(mu, nu, first, seed=seed)
+    target = float(w.std(ddof=1)) / math.sqrt(cfg.reference_L)
+    if est.std_error > target:
+        blocks = math.ceil(first * (est.std_error / target) ** 2 / PROJECTION_BLOCK)
+        L = min(cfg.reference_L, blocks * PROJECTION_BLOCK)
+        if L > first:
+            est, _ = monte_carlo_sw_cv(mu, nu, L, seed=seed)
+    return est.value_sq, est.std_error
 
 
 def _cells(cfg):
@@ -308,7 +331,7 @@ def _cell_records(cfg, d, alpha_idx, alpha, run, reps) -> list[ResultRecord]:
     records = []
     try:
         mu, nu, closed_ref = _generate_pair(cfg, d, alpha, cell_seed)
-        reference_sq = _reference_sq(cfg, mu, nu, closed_ref, cell_seed)
+        reference_sq, reference_se = _reference(cfg, mu, nu, closed_ref, cell_seed)
         for method_idx, spec in enumerate(cfg.methods):
             seed = rng.derive_seed(cell_seed, "method", method_idx)
             ests = [estimate(mu, nu, spec.method, L=spec.L, seed=seed) for _ in range(reps)]
@@ -316,6 +339,7 @@ def _cell_records(cfg, d, alpha_idx, alpha, run, reps) -> list[ResultRecord]:
             records.append(ResultRecord(
                 scenario=cfg.scenario.value, run_id=run, d=d, n=cfg.n, alpha=alpha,
                 method=spec.label, estimate_sq=est.value_sq, reference_sq=reference_sq,
+                reference_se=reference_se,
                 abs_error=abs(math.sqrt(est.value_sq) - math.sqrt(reference_sq)),
                 wall_time_ns=sorted(e.wall_time_ns for e in ests)[reps // 2], seed=cell_seed,
             ))
@@ -434,7 +458,7 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
         "n": cfg.n,
         "runs": cfg.runs,
         "master_seed": cfg.master_seed,
-        "reference": "monte-carlo" if cfg.scenario.mc_reference else "closed-form",
+        "reference": "mc-cv" if cfg.scenario.mc_reference else "closed-form",
         "reference_L": cfg.reference_L if cfg.scenario.mc_reference else "",
         "burn_in": cfg.burn_in,
         "hyperparams": "regenerated-per-run",

@@ -85,10 +85,10 @@ def build_parser() -> _Parser:
                      choices=[m.value for m in Method],
                      help="estimator to run")
     est.add_argument("--L", type=int, default=1000,
-                     help="projection count for Monte Carlo methods")
+                     help="projection count for Monte Carlo methods (mc-cv needs >= 8)")
     est.add_argument("--p", type=float, default=2.0,
                      help="transport order, finite and >= 1; deterministic methods "
-                          "accept only 2")
+                          "and mc-cv accept only 2")
     est.add_argument("--seed", type=int, default=0, help="RNG seed")
     est.set_defaults(func=cmd_estimate)
 

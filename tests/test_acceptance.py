@@ -30,8 +30,10 @@ from swkit import (
     project,
     sw2_gaussian_iso_closed,
     sw_hat,
+    rng,
     wasserstein_1d_pp,
 )
+from swkit.estimators import PROJECTION_BLOCK
 
 
 def report(number, text):
@@ -117,7 +119,23 @@ def test_criterion_05_centered_gamma_error_decays():
     elapsed = time.perf_counter() - t0
     assert slope <= -0.3, f"fitted slope {slope:.3f} > -0.3"
     assert elapsed < 600.0, f"took {elapsed:.0f}s, budget 600s"
-    report(5, f"centered-gamma slope {slope:.3f} (<= -0.3) in {elapsed:.0f}s")
+    # Every reference is at least as accurate as plain sphere Monte Carlo
+    # with 2 * 10^4 directions: its standard error is at most sd(w) /
+    # sqrt(20000), w the per-direction costs of the first block of the
+    # cell's reference stream.
+    worst = 0.0
+    for r in records:
+        mu, nu = (gen_factors(FactorConfig(dim=r.d, n=r.n, family=FactorFamily.GAMMA,
+                                           centered=True, role=role, seed=r.seed))
+                  for role in (DatasetRole.FIRST, DatasetRole.SECOND))
+        _, w = monte_carlo_sw_pp(mu, nu, PROJECTION_BLOCK,
+                                 seed=rng.derive_seed(r.seed, "reference"))
+        plain_se = float(w.std(ddof=1)) / math.sqrt(20_000)
+        assert r.reference_se <= plain_se, f"d={r.d} run={r.run_id}: {r.reference_se:.3g} " \
+                                           f"> {plain_se:.3g}"
+        worst = max(worst, r.reference_se / plain_se)
+    report(5, f"centered-gamma slope {slope:.3f} (<= -0.3) in {elapsed:.0f}s; every reference "
+              f"se <= {worst:.2f} x plain L=20000")
 
 
 def test_criterion_06_ar1_error_decays_for_each_alpha():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import threading
 
@@ -21,7 +22,14 @@ from swkit.bench import (
 from swkit import rng
 from swkit.datagen import Ar1Config, FactorFamily
 from swkit.errors import EmptyInput, InvalidSample, NonPositiveError
-from swkit.estimators import Method, SwEstimate, estimate
+from swkit.estimators import (
+    CV_MIN_PROJECTIONS,
+    PROJECTION_BLOCK,
+    Method,
+    SwEstimate,
+    estimate,
+    monte_carlo_sw_cv,
+)
 
 
 def tiny_ar_config(**overrides):
@@ -74,7 +82,7 @@ class TestSummarize:
     def rec(self, d, run, err, scenario="gamma-centered", method="deterministic", alpha=None):
         return ResultRecord(scenario=scenario, run_id=run, d=d, n=100, alpha=alpha,
                             method=method, estimate_sq=err ** 2, reference_sq=0.0,
-                            abs_error=err, wall_time_ns=1000, seed=1)
+                            reference_se=0.0, abs_error=err, wall_time_ns=1000, seed=1)
 
     def test_single_run_percentiles_collapse(self):
         rows = summarize([self.rec(10, 0, 0.5)])
@@ -144,16 +152,19 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("scenario", [Scenario.GAUSSIAN_CENTERED, Scenario.GAMMA_CENTERED])
     def test_reference_projection_count_checked_for_every_scenario(self, scenario):
-        with pytest.raises(InvalidSample, match="reference_L"):
-            ExperimentConfig(scenario=scenario, reference_L=0)
+        for bad in (0, CV_MIN_PROJECTIONS - 1):
+            with pytest.raises(InvalidSample, match="reference_L"):
+                ExperimentConfig(scenario=scenario, reference_L=bad)
+        assert ExperimentConfig(scenario=scenario,
+                                reference_L=CV_MIN_PROJECTIONS).reference_L == CV_MIN_PROJECTIONS
 
     @pytest.mark.parametrize("make_config,make_owner,field", [
         (lambda: ExperimentConfig(scenario="ar1-gaussian", alpha_list=(0.5, 1.5)),
          lambda: Ar1Config(dim=2, n=2, alpha=1.5), "alpha_list"),
         (lambda: ExperimentConfig(scenario="ar1-student", alpha_list=(-0.1,)),
          lambda: Ar1Config(dim=2, n=2, alpha=-0.1), "alpha_list"),
-        (lambda: ExperimentConfig(scenario="gamma-centered", reference_L=0),
-         lambda: Method.MONTE_CARLO_SPHERE.check_args(0, 2.0), "reference_L"),
+        (lambda: ExperimentConfig(scenario="gamma-centered", reference_L=7),
+         lambda: Method.MONTE_CARLO_CV.check_args(7, 2.0), "reference_L"),
         (lambda: ExperimentConfig(scenario="gamma-centered", burn_in=-3),
          lambda: Ar1Config(dim=2, n=2, alpha=0.5, burn_in=-3), None),
     ])
@@ -179,11 +190,11 @@ class TestConfigValidation:
         for scenario in Scenario:
             meta = bench.config_metadata(default_convergence_config(scenario))
             if scenario.value.startswith("gamma"):
-                assert (meta["reference"], meta["reference_L"]) == ("monte-carlo", 20_000)
+                assert (meta["reference"], meta["reference_L"]) == ("mc-cv", 20_000)
             else:
                 assert (meta["reference"], meta["reference_L"]) == ("closed-form", "")
         meta = bench.config_metadata(default_timing_config())
-        assert (meta["reference"], meta["reference_L"]) == ("monte-carlo", 20_000)
+        assert (meta["reference"], meta["reference_L"]) == ("mc-cv", 20_000)
         ar = default_convergence_config(Scenario.AR1_GAUSSIAN)
         assert ar.alpha_list == (0.2, 0.5, 0.8)
 
@@ -233,7 +244,7 @@ class TestRunConvergence:
     def test_ar_reference_is_exact_zero(self):
         records = run_convergence(tiny_ar_config())
         assert len(records) == 2 * 2 * 3
-        assert all(r.reference_sq == 0.0 for r in records)
+        assert all(r.reference_sq == 0.0 and r.reference_se == 0.0 for r in records)
         assert {r.alpha for r in records} == {0.3, 0.7}
 
     def test_reproducible_modulo_wall_time(self):
@@ -274,19 +285,65 @@ class TestRunConvergence:
                                runs=2, reference_L=200, master_seed=2)
         records = run_convergence(cfg)
         assert len(records) == 2
-        assert all(r.reference_sq > 0.0 for r in records)
+        assert all(r.reference_sq > 0.0 and r.reference_se > 0.0 for r in records)
 
     def test_gamma_reference_is_the_seeded_monte_carlo_estimate(self):
-        cfg = ExperimentConfig(scenario=Scenario.GAMMA_NONCENTERED, d_grid=(6,), n=50,
-                               runs=1, reference_L=300, master_seed=21)
-        rec = run_convergence(cfg)[0]
-        cell_seed = rng.derive_seed(cfg.master_seed, "cell", cfg.scenario.value, 0, 6, 0)
-        assert rec.seed == cell_seed
-        mu, nu, closed_ref = bench._generate_pair(cfg, 6, None, cell_seed)
-        assert closed_ref is None
-        want = estimate(mu, nu, "mc-sphere", L=cfg.reference_L,
-                        seed=rng.derive_seed(cell_seed, "reference")).value_sq
-        assert rec.reference_sq == want
+        # The reference is the public mc-cv estimate on the cell's reference
+        # stream: one block of directions (all of them below 512), grown only
+        # when its standard error misses plain Monte Carlo's at reference_L,
+        # sd(w) / sqrt(reference_L), to whole blocks by the 1/sqrt(L) law.
+        for scenario, reference_L in itertools.product(
+                (Scenario.GAMMA_NONCENTERED, Scenario.GAMMA_CENTERED), (300, 20_000)):
+            cfg = ExperimentConfig(scenario=scenario, d_grid=(6,), n=50,
+                                   runs=1, reference_L=reference_L, master_seed=21)
+            rec = run_convergence(cfg)[0]
+            cell_seed = rng.derive_seed(cfg.master_seed, "cell", cfg.scenario.value, 0, 6, 0)
+            assert rec.seed == cell_seed
+            mu, nu, closed_ref = bench._generate_pair(cfg, 6, None, cell_seed)
+            assert closed_ref is None
+            seed = rng.derive_seed(cell_seed, "reference")
+            L = min(reference_L, PROJECTION_BLOCK)
+            want, w = monte_carlo_sw_cv(mu, nu, L, seed=seed)
+            target = float(w.std(ddof=1)) / math.sqrt(reference_L)
+            if want.std_error > target:
+                grown = PROJECTION_BLOCK * math.ceil(L * (want.std_error / target) ** 2
+                                                     / PROJECTION_BLOCK)
+                want = estimate(mu, nu, "mc-cv", L=min(grown, reference_L), seed=seed)
+            assert (rec.reference_sq, rec.reference_se) == (want.value_sq, want.std_error)
+            assert want.method is Method.MONTE_CARLO_CV and want.seed == seed
+            assert rec.reference_se <= target or want.num_projections == reference_L
+
+    def test_gamma_reference_grows_by_whole_blocks_when_one_block_misses(self, monkeypatch):
+        # A first-block standard error sqrt(2.5) times the target asks for 2.5
+        # blocks of directions: the reference takes 3 from the same stream,
+        # or reference_L when that is fewer.
+        cfg = ExperimentConfig(scenario=Scenario.GAMMA_CENTERED, d_grid=(6,), n=50,
+                               runs=1, master_seed=21)
+        mu, nu, _ = bench._generate_pair(cfg, 6, None, 7)
+        seed = rng.derive_seed(7, "reference")
+        real = bench.monte_carlo_sw_cv
+
+        def reference(reference_L):
+            calls = []
+
+            def first_block_misses(mu, nu, L, seed):
+                est, w = real(mu, nu, L, seed=seed)
+                if not calls:
+                    target = float(w.std(ddof=1)) / math.sqrt(reference_L)
+                    est = dataclasses.replace(est, std_error=math.sqrt(2.5) * target)
+                calls.append(L)
+                return est, w
+
+            monkeypatch.setattr(bench, "monte_carlo_sw_cv", first_block_misses)
+            got = bench._reference(dataclasses.replace(cfg, reference_L=reference_L),
+                                   mu, nu, None, 7)
+            return calls, got
+
+        for reference_L, grown in ((20_000, 3 * PROJECTION_BLOCK), (1000, 1000)):
+            calls, got = reference(reference_L)
+            assert calls == [PROJECTION_BLOCK, grown]
+            want = estimate(mu, nu, "mc-cv", L=grown, seed=seed)
+            assert got == (want.value_sq, want.std_error)
 
     def test_honours_configured_methods(self):
         raw_only = ExperimentConfig(scenario=Scenario.GAMMA_NONCENTERED, d_grid=(10, 20), n=100,
@@ -384,8 +441,8 @@ class TestCsvIo:
         lines = path.read_text().splitlines()
         assert lines[0] == "# scenario=ar1-gaussian"
         assert lines[1] == ",".join(bench.RECORD_FIELDS) == (
-            "scenario,run_id,d,n,alpha,method,estimate_sq,reference_sq,abs_error,"
-            "wall_time_ns,seed")
+            "scenario,run_id,d,n,alpha,method,estimate_sq,reference_sq,reference_se,"
+            "abs_error,wall_time_ns,seed")
         assert len(lines) == 2 + len(records)
         for line, rec in zip(lines[2:], records):
             cells = line.split(",")

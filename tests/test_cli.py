@@ -8,7 +8,7 @@ import pytest
 import swkit
 from swkit.cli import main
 from swkit.datagen import FactorConfig, FactorFamily, gen_factors, load_csv, save_csv
-from swkit.estimators import sw_moment_approx_sq
+from swkit.estimators import estimate, sw_moment_approx_sq
 
 
 @pytest.fixture
@@ -138,6 +138,16 @@ class TestEstimate:
         assert fields[3] == "300"
         assert int(fields[4]) > 0
 
+    def test_control_variate_row_format(self, dataset_csv, capsys):
+        a, b = dataset_csv("a.csv", seed=1), dataset_csv("b.csv", seed=2)
+        code, out, _ = run_cli(capsys, ["estimate", a, b, "--method", "mc-cv",
+                                        "--L", "300", "--seed", "9"])
+        assert code == 0
+        fields = out.strip().split(",")
+        want = estimate(load_csv(a), load_csv(b), "mc-cv", L=300, seed=9).value_sq
+        assert fields[:4] == ["mc-cv", repr(want), repr(math.sqrt(want)), "300"]
+        assert int(fields[4]) > 0
+
     def test_monte_carlo_reproducible(self, dataset_csv, capsys):
         a, b = dataset_csv("a.csv", seed=1), dataset_csv("b.csv", seed=2)
         argv = ["estimate", a, b, "--method", "mc-gaussian", "--L", "200", "--seed", "4"]
@@ -202,6 +212,8 @@ class TestEstimate:
         pytest.param("deterministic", ["--p", "3"], None, ("--p", "order"), id="deterministic-p3"),
         pytest.param("raw-moment", ["--p", "3"], None, ("--p", "order"), id="raw-moment-p3"),
         pytest.param("mc-sphere", [], "abc", ("SW_THREADS",), id="mc-sphere-bad-SW_THREADS"),
+        pytest.param("mc-cv", ["--L", "4"], None, ("--L", ">= 8"), id="mc-cv-L4"),
+        pytest.param("mc-cv", ["--p", "3"], None, ("--p", "order"), id="mc-cv-p3"),
     ])
     def test_nonfinite_order_is_usage_error_before_reading(self, capsys, tmp_path, monkeypatch,
                                                            method, flags, sw_threads, named):

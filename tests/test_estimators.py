@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import swkit
+import swkit.bench as bench
 from swkit import (
     EmpiricalDistribution,
     IsoGaussian,
@@ -23,6 +24,7 @@ from swkit import (
     gaussian_projection_constant,
     indep_bound,
     moment_stats,
+    monte_carlo_sw_cv,
     monte_carlo_sw_pp,
     project,
     sample_directions,
@@ -43,6 +45,7 @@ from swkit.estimators import (
     _PAIR_CHUNK,
     _PAIR_TILE,
     PAIR_BUDGET_DEFAULT,
+    CV_MIN_PROJECTIONS,
     PAIR_FULL_LIMIT,
     PROJECTION_BLOCK,
     _mean_and_scaled_m2,
@@ -412,6 +415,133 @@ class TestMonteCarlo:
     def test_negative_seed_is_invalid_sample(self, call):
         with pytest.raises(InvalidSample):
             call()
+
+
+def cv_reference(mu, nu, L, seed, columns=(0, 1, 2)):
+    """mc-cv by the textbook route: the intercept of the least-squares fit of
+    the plain per-direction costs on the chosen control variates, evaluated
+    at their expectations, and the residual standard error."""
+    d = mu.dim
+    dirs = sample_directions(d, seed, L)
+    x, y = dirs @ mu.data.T, dirs @ nu.data.T
+    _, w = monte_carlo_sw_pp(mu, nu, L, seed=seed)
+    columns = list(columns)
+    c = np.column_stack(((x.mean(1) - y.mean(1)) ** 2, x.var(1), y.var(1)))[:, columns]
+    gap = mu.data.mean(0) - nu.data.mean(0)
+    expected = np.array([gap @ gap, mu.data.var(0).sum(), nu.data.var(0).sum()])[columns] / d
+    design = np.column_stack((np.ones(L), c))
+    coef = np.linalg.lstsq(design, w, rcond=None)[0]
+    residuals = w - design @ coef
+    se = math.sqrt(residuals @ residuals / (L - design.shape[1]) / L)
+    return coef[0] + coef[1:] @ expected, se
+
+
+def scenario_pair(scenario, n, d, seed):
+    alphas = (0.5,) if scenario.noise is not None else ()
+    cfg = bench.ExperimentConfig(scenario=scenario, d_grid=(d,), n=n, runs=1, alpha_list=alphas)
+    mu, nu, _ = bench._generate_pair(cfg, d, alphas[0] if alphas else None, seed)
+    return mu, nu
+
+
+class TestMonteCarloCv:
+    @pytest.mark.parametrize("n, d, L, workers", [
+        (25, 4, 8, 1), (60, 5, PROJECTION_BLOCK, 1), (60, 5, 2 * PROJECTION_BLOCK + 3, 2),
+        (40, 30, 300, 1),
+    ])
+    def test_per_direction_costs_are_plain_monte_carlo_bits(self, n, d, L, workers):
+        mu, nu = make_dist(80, n, d, shift=0.3), make_dist(81, n, d, scale=1.7)
+        cv, w = monte_carlo_sw_cv(mu, nu, L, seed=12, workers=workers)
+        _, plain = monte_carlo_sw_pp(mu, nu, L, seed=12)
+        assert w.tobytes() == plain.tobytes()
+        assert (cv.method, cv.num_projections, cv.seed) == (Method.MONTE_CARLO_CV, L, 12)
+        assert cv.wall_time_ns > 0
+
+    @pytest.mark.parametrize("L", [2 * PROJECTION_BLOCK, 4 * PROJECTION_BLOCK - 1,
+                                   4 * PROJECTION_BLOCK + 1])
+    def test_worker_count_never_changes_bits(self, L):
+        mu, nu = make_dist(82, 50, 6), make_dist(83, 50, 6, shift=0.4, scale=1.3)
+        base, w_base = monte_carlo_sw_cv(mu, nu, L, seed=3, workers=1)
+        for workers in (2, 8):
+            est, w = monte_carlo_sw_cv(mu, nu, L, seed=3, workers=workers)
+            assert (est.value_sq.hex(), est.std_error.hex()) == \
+                (base.value_sq.hex(), base.std_error.hex())
+            assert w.tobytes() == w_base.tobytes()
+        via_label = estimate(mu, nu, "mc-cv", L=L, seed=3, workers=8)
+        assert (via_label.value_sq, via_label.std_error) == (base.value_sq, base.std_error)
+
+    @pytest.mark.parametrize("d", [5, 50])
+    def test_agrees_with_plain_monte_carlo_in_every_scenario(self, d):
+        # Against plain sphere Monte Carlo on the same pair, never a closed
+        # form: both estimate the sliced distance of the two samples.
+        for i, scenario in enumerate(bench.Scenario):
+            mu, nu = scenario_pair(scenario, 200, d, seed=900 + i)
+            plain, _ = monte_carlo_sw_pp(mu, nu, 200_000, seed=1, workers=2)
+            for L in (64, 512):
+                cv, _ = monte_carlo_sw_cv(mu, nu, L, seed=2)
+                bound = 4.0 * math.hypot(cv.std_error, plain.std_error)
+                assert abs(cv.value_sq - plain.value_sq) <= bound, (scenario, L)
+                assert cv.std_error < plain.std_error * math.sqrt(200_000 / L), (scenario, L)
+
+    def test_matches_the_textbook_fit(self):
+        mu, nu = make_dist(84, 80, 7, shift=0.5), make_dist(85, 80, 7, scale=1.6)
+        est, _ = monte_carlo_sw_cv(mu, nu, 200, seed=5)
+        value, se = cv_reference(mu, nu, 200, 5)
+        assert est.value_sq == pytest.approx(value, rel=1e-9)
+        assert est.std_error == pytest.approx(se, rel=1e-9)
+
+    def test_dimension_one_is_plain_monte_carlo(self):
+        # theta = +-1: every control variate is constant, so all are dropped
+        mu, nu = make_dist(86, 50, 1, shift=0.7), make_dist(87, 50, 1, scale=2.0)
+        cv, _ = monte_carlo_sw_cv(mu, nu, 100, seed=6)
+        plain, _ = monte_carlo_sw_pp(mu, nu, 100, seed=6)
+        assert (cv.value_sq, cv.std_error) == (plain.value_sq, plain.std_error)
+
+    def test_identical_inputs_give_exact_zero(self):
+        dist = make_dist(88, 40, 6)
+        est, w = monte_carlo_sw_cv(dist, dist, 64, seed=1)
+        assert (est.value_sq, est.std_error) == (0.0, 0.0)
+        assert np.all(w == 0.0)
+
+    def test_centered_pair_drops_the_mean_gap(self, monkeypatch):
+        # Centered, the projected mean gap is rounding noise, and so is the
+        # gap between its mean and its expectation. The fit uses the two
+        # variances only; scaled to unit spread and fitted, the noise column
+        # would move the estimate by a fraction of its standard error.
+        _, mu = center(make_dist(89, 80, 7, shift=3.0))
+        _, nu = center(make_dist(90, 80, 7, scale=1.6))
+        est, _ = monte_carlo_sw_cv(mu, nu, 200, seed=5)
+        value, se = cv_reference(mu, nu, 200, 5, columns=(1, 2))
+        assert est.value_sq == pytest.approx(value, rel=1e-9)
+        assert est.std_error == pytest.approx(se, rel=1e-9)
+        monkeypatch.setattr(estimators, "_CV_DROP_RTOL", 0.0)
+        noisy, _ = monte_carlo_sw_cv(mu, nu, 200, seed=5)
+        assert abs(noisy.value_sq - est.value_sq) > 0.01 * est.std_error
+
+    def test_input_validation(self):
+        with pytest.raises(DimMismatch):
+            monte_carlo_sw_cv(make_dist(1, 10, 2), make_dist(2, 10, 3), 8)
+        with pytest.raises(LengthMismatch):
+            monte_carlo_sw_cv(make_dist(1, 10, 2), make_dist(2, 11, 2), 8)
+        for bad_L in (CV_MIN_PROJECTIONS - 1, 0):
+            with pytest.raises(InvalidSample, match="L must be >= 8"):
+                monte_carlo_sw_cv(make_dist(1, 10, 2), make_dist(2, 10, 2), bad_L)
+        with pytest.raises(InvalidOrder):
+            estimate(make_dist(1, 10, 2), make_dist(2, 10, 2), "mc-cv", L=8, p=3.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_one_workspace_per_worker(self, workers):
+        # The projected moments are centered a few rows at a time: no (512, n)
+        # temporary beyond the workspace monte_carlo_sw_pp already holds.
+        n = 5000
+        mu, nu = make_dist(66, n, 50), make_dist(67, n, 50, shift=0.5)
+        tracemalloc.start()
+        try:
+            monte_carlo_sw_cv(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = workers * (2 * 512 * n * 8 + 4 * 2 ** 20)
+        assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
 
 
 class TestProjectionConstant:
@@ -1092,7 +1222,16 @@ class TestSwEstimateInvariants:
 
     def test_check_args_normalizes_or_raises(self):
         for method in Method:
-            if method.is_mc:
+            if method is Method.MONTE_CARLO_CV:
+                L, p = method.check_args(np.int64(CV_MIN_PROJECTIONS), 2)
+                assert (L, p) == (8, 2.0) and type(L) is int and type(p) is float
+                for bad_L in (CV_MIN_PROJECTIONS - 1, 0, -1):
+                    with pytest.raises(InvalidSample, match="L must be >= 8"):
+                        method.check_args(bad_L, 2.0)
+                for bad_p in (1.0, 3.0, 0.5) + BAD_ORDERS:
+                    with pytest.raises(InvalidOrder, match="order-2 control variates"):
+                        method.check_args(10, bad_p)
+            elif method.is_mc:
                 L, p = method.check_args(np.int64(7), 3)
                 assert (L, p) == (7, 3.0) and type(L) is int and type(p) is float
                 for bad_L in (0, -1):
@@ -1108,6 +1247,11 @@ class TestSwEstimateInvariants:
     def test_deterministic_methods_accept_only_order_two(self):
         mu, nu = make_dist(30, 40, 4), make_dist(31, 40, 4, shift=1.0)
         for method in Method:
+            if method is Method.MONTE_CARLO_CV:
+                assert estimate(mu, nu, method, L=8, p=2).method is method
+                with pytest.raises(InvalidOrder):
+                    estimate(mu, nu, method, L=8, p=1.0)
+                continue
             if method.is_mc:
                 assert estimate(mu, nu, method, L=8, p=1.0).method is method
                 continue

@@ -6,8 +6,12 @@ Translating both inputs by one vector, rotating both by one orthogonal map,
 permuting the rows of either input and swapping the inputs leave the squared
 sliced 2-distance unchanged; scaling both inputs by a multiplies it by a^2.
 Monte Carlo keeps these invariances direction by direction, so they hold for
-any projection count and seed. Values are compared to a tolerance relative to
-the squared size of the data, except where a bit-exact result is promised.
+any projection count and seed. ``mc-cv`` keeps them too, since its control
+variates and their expectations move with the costs, but its least-squares
+fit rounds differently when the inputs or its columns are reordered, so its
+symmetry is checked to the tolerance. Values are compared to a tolerance
+relative to the squared size of the data, except where a bit-exact result is
+promised.
 
 Norms and inner products do not change under a rotation or a reordering of
 the rows, so neither do the exact moment statistics; and for all n^2 pairs
@@ -67,6 +71,9 @@ ESTIMATORS.update({
 })
 # The raw moment surrogate skips centering on purpose: translation changes it.
 TRANSLATION_INVARIANT = [name for name in ESTIMATORS if name != Method.RAW_MOMENT.value]
+# mc-cv swaps its two variance columns with the inputs, and the fit need not
+# give the same bits for the swapped columns.
+BIT_SYMMETRIC = [name for name in ESTIMATORS if name != Method.MONTE_CARLO_CV.value]
 
 
 @st.composite
@@ -126,12 +133,19 @@ def test_scaling_both_inputs_scales_by_a_squared(name, pair, a, negative):
     assert_close(value(name, a * x, a * y), a * a * value(name, x, y), a * x, a * y)
 
 
-@pytest.mark.parametrize("name", list(ESTIMATORS))
+@pytest.mark.parametrize("name", BIT_SYMMETRIC)
 @SETTINGS
 @given(pair=pairs())
 def test_symmetry_is_bit_exact(name, pair):
     x, y = pair
     assert value(name, x, y) == value(name, y, x)
+
+
+@SETTINGS
+@given(pair=pairs())
+def test_control_variate_symmetry(pair):
+    x, y = pair
+    assert_close(value("mc-cv", y, x), value("mc-cv", x, y), x, y)
 
 
 @pytest.mark.parametrize("num_projections", [PROJECTION_BLOCK - 1, PROJECTION_BLOCK,
