@@ -49,7 +49,6 @@ from .datagen import (
     NoiseKind,
     atomic_write,
     check_alpha,
-    check_burn_in,
     factor_hyperparams,
     gen_ar1,
     gen_factors,
@@ -61,10 +60,8 @@ from .estimators import sw_hat  # noqa: F401  (the benchmark's tracer test looks
 DESK_D_GRID = (10, 32, 100, 316, 1000)
 DESK_RUNS = 20
 DESK_N = 2000
-DESK_BURN_IN = 500
 PAPER_RUNS = 100
 PAPER_N = 10_000
-PAPER_BURN_IN = 10_000
 REFERENCE_L = 20_000
 TIMING_L_GRID = (100, 1000, 5000)
 DEFAULT_ALPHAS = (0.2, 0.5, 0.8)
@@ -132,8 +129,9 @@ class ExperimentConfig:
     ``alpha_list`` applies to (and is required for) the AR scenarios only.
     Both experiments write one record per cell and entry of ``methods``,
     which defaults to the convergence study's raw moment surrogate, and take
-    each record's wall time from the estimator's own clock. ``burn_in`` feeds
-    the AR generator.
+    each record's wall time from the estimator's own clock. An AR dataset
+    runs as many steps before its kept window as its alpha needs
+    (:class:`swkit.datagen.Ar1Config`), so no field sets them.
 
     The scenario decides the reference (:class:`Scenario`). A Monte Carlo
     reference is an ``mc-cv`` estimate as accurate as plain sphere Monte
@@ -149,7 +147,6 @@ class ExperimentConfig:
     reference_L: int = REFERENCE_L
     methods: tuple[MethodSpec, ...] = (MethodSpec(Method.RAW_MOMENT),)
     master_seed: int = 0
-    burn_in: int = DESK_BURN_IN
 
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario(self.scenario))
@@ -170,7 +167,6 @@ class ExperimentConfig:
         for alpha in self.alpha_list:
             _checked("alpha_list", check_alpha, alpha)
         _checked("reference_L", Method.MONTE_CARLO_CV.check_args, self.reference_L, 2.0)
-        check_burn_in(self.burn_in)  # its message already names the field
         if self.master_seed < 0:
             raise InvalidSample(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
@@ -217,7 +213,7 @@ SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
 def _study_config(paper_scale: bool, desk: dict, **fields) -> ExperimentConfig:
     """``ExperimentConfig(**fields)``, each None field set to its paper-scale
     size under ``paper_scale``, else to its ``desk`` value, else left default."""
-    sizes = {"n": PAPER_N, "runs": PAPER_RUNS, "burn_in": PAPER_BURN_IN} if paper_scale else desk
+    sizes = {"n": PAPER_N, "runs": PAPER_RUNS} if paper_scale else desk
     return ExperimentConfig(**{name: sizes[name] if value is None else value
                                for name, value in fields.items()
                                if value is not None or name in sizes})
@@ -231,7 +227,6 @@ def default_convergence_config(
     n: int | None = None,
     runs: int | None = None,
     alpha_list: Sequence[float] | None = None,
-    burn_in: int | None = None,
 ) -> ExperimentConfig:
     """Convergence-experiment config with desk-scale defaults (paper-scale
     sizes behind the flag) for the raw moment surrogate."""
@@ -239,7 +234,7 @@ def default_convergence_config(
     if alpha_list is None and scenario.noise is not None:
         alpha_list = DEFAULT_ALPHAS
     return _study_config(paper_scale, {}, scenario=scenario, master_seed=master_seed,
-                         d_grid=d_grid, n=n, runs=runs, alpha_list=alpha_list, burn_in=burn_in)
+                         d_grid=d_grid, n=n, runs=runs, alpha_list=alpha_list)
 
 
 def default_timing_config(
@@ -270,7 +265,6 @@ def _generate_pair(cfg, d, alpha, cell_seed):
     scenario = cfg.scenario
     if scenario.noise is not None:
         mu, nu = (gen_ar1(Ar1Config(dim=d, n=cfg.n, alpha=alpha, noise=scenario.noise,
-                                    burn_in=cfg.burn_in,
                                     seed=rng.derive_seed(cell_seed, "traj", side)))
                   for side in (0, 1))
         return mu, nu, 0.0  # same law on both sides: the true distance is zero
@@ -460,7 +454,6 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
         "master_seed": cfg.master_seed,
         "reference": "mc-cv" if cfg.scenario.mc_reference else "closed-form",
         "reference_L": cfg.reference_L if cfg.scenario.mc_reference else "",
-        "burn_in": cfg.burn_in,
         "hyperparams": "regenerated-per-run",
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -109,7 +109,6 @@ def build_parser() -> _Parser:
                       choices=[s.value for s in bench.Scenario])
     conv.add_argument("--alpha", type=_float_list, default=None,
                       help="comma-separated AR coefficients (AR scenarios)")
-    conv.add_argument("--burn-in", type=int, default=None, help="AR burn-in steps")
     conv.set_defaults(func=cmd_convergence)
 
     tim = sub.add_parser("timing", help="accuracy/wall-time comparison experiment")
@@ -122,7 +121,7 @@ def build_parser() -> _Parser:
         study.add_argument("--runs", type=int, default=None, help="independent runs per cell")
         study.add_argument("--seed", type=int, default=0, help="master seed")
         study.add_argument("--paper-scale", action="store_true",
-                           help="full-scale sizes: n=10^4, 100 runs, AR burn-in 10^4")
+                           help="full-scale sizes: n=10^4, 100 runs")
         study.add_argument("--out", required=True, help="records CSV path")
         study.add_argument("--summary-out", default=None, help="summary CSV path")
 
@@ -135,7 +134,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--alpha", type=float, default=None, help="AR coefficient (ar1)")
     gen.add_argument("--noise", default="gaussian", choices=[k.value for k in datagen.NoiseKind],
                      help="innovation law (ar1)")
-    gen.add_argument("--burn-in", type=int, default=10_000, help="burn-in steps (ar1)")
     gen.add_argument("--d", type=int, required=True, help="dimension")
     gen.add_argument("--n", type=int, required=True, help="sample count")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -221,8 +219,7 @@ def _run_study(args, make_config, run, **config) -> int:
 def cmd_convergence(args) -> int:
     return _run_study(args, bench.default_convergence_config,
                       lambda cfg: bench.run_convergence(cfg, workers=_worker_count()),
-                      scenario=args.scenario, alpha_list=args.alpha,
-                      burn_in=args.burn_in)
+                      scenario=args.scenario, alpha_list=args.alpha)
 
 
 def cmd_timing(args) -> int:
@@ -235,7 +232,7 @@ def cmd_generate(args) -> int:
             raise UsageError("--alpha is required for --family ar1")
         dist = datagen.gen_ar1(_config(datagen.Ar1Config, dim=args.d, n=args.n,
                                        alpha=args.alpha, noise=datagen.NoiseKind(args.noise),
-                                       burn_in=args.burn_in, seed=args.seed))
+                                       seed=args.seed))
     else:
         dist = datagen.gen_factors(_config(datagen.FactorConfig, dim=args.d, n=args.n,
                                            family=datagen.FactorFamily(args.family),

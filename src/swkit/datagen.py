@@ -6,7 +6,9 @@ Two families:
   Gamma marginal, with per-dataset hyperparameters themselves drawn from a
   seeded stream so a config reproduces both the hyperparameters and the data,
 * stationary AR(1) trajectories ``X_t = alpha * X_{t-1} + eps_t`` with
-  Gaussian or Student-t(10) innovations, burned in before the kept window.
+  Gaussian or Student-t(10) innovations, run from a zero start for as many
+  steps before the kept window as it takes the start's trace, alpha^(t+1)
+  times the stationary value, to fall to 2^-53 (:func:`_ar1_burn_in`).
 
 Everything is a pure function of (config, seed): same seed, same bytes.
 Rows of AR(1) datasets are generated from fixed-size per-block streams, so
@@ -33,6 +35,7 @@ _ROW_BLOCK = 512  # fixed trajectory block size; part of the output contract
 _AR1_NOISE_BYTES = 32 << 20  # AR(1) innovations held at once
 _AR1_CHUNK = 64  # AR(1) steps per time-major buffer, which stays in cache
 _PAD = 8  # doubles added to a transpose buffer's row stride against cache-set conflicts
+_AR1_TRANSIENT = 2.0 ** -53  # largest relative trace of the zero start left in a kept step
 
 
 class FactorFamily(str, enum.Enum):
@@ -80,20 +83,23 @@ class FactorConfig:
 
 @dataclass(frozen=True)
 class Ar1Config:
-    """Recipe for a dataset of independent stationary AR(1) trajectories."""
+    """Recipe for a dataset of independent stationary AR(1) trajectories.
+
+    The steps run before the kept window follow from ``alpha`` alone
+    (:func:`_ar1_burn_in`): none at alpha = 0, 164 at 0.8, and about
+    36.7 / (1 - alpha) near 1, so each row draws that many innovations more
+    than it keeps (36,718 at alpha = 0.999)."""
 
     dim: int
     n: int
     alpha: float
     noise: NoiseKind = NoiseKind.GAUSSIAN
-    burn_in: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1 or self.n < 1:
             raise InvalidSample(f"dim and n must be >= 1, got dim={self.dim}, n={self.n}")
         check_alpha(self.alpha)
-        check_burn_in(self.burn_in)
         object.__setattr__(self, "noise", NoiseKind(self.noise))
 
 
@@ -103,10 +109,23 @@ def check_alpha(alpha) -> None:
         raise InvalidSample(f"alpha must be in [0, 1), got {alpha}")
 
 
-def check_burn_in(burn_in) -> None:
-    """The AR burn-in step count must be >= 0 (InvalidSample)."""
-    if burn_in < 0:
-        raise InvalidSample(f"burn_in must be >= 0, got {burn_in}")
+def _ar1_burn_in(alpha) -> int:
+    """The smallest B >= 0 with alpha^(B+1) <= 2^-53: the steps an AR(1)
+    trajectory runs from y_{-1} = 0 before its kept window.
+
+    The zero start leaves alpha^(t+1) * y~_{-1} of the stationary path y~ in
+    step t, so from step B on that trace is at most 2^-53 of a stationary
+    value, below the rounding of the step itself. B is 0 at alpha = 0, 52 at
+    0.5 and 164 at 0.8; near 1 it grows like 36.7 / (1 - alpha).
+    """
+    if alpha == 0.0:
+        return 0
+    steps = math.ceil(math.log2(_AR1_TRANSIENT) / math.log2(alpha))  # B + 1
+    while steps > 1 and alpha ** (steps - 1) <= _AR1_TRANSIENT:  # log2 may round up...
+        steps -= 1
+    while alpha ** steps > _AR1_TRANSIENT:  # ...or down
+        steps += 1
+    return steps - 1
 
 
 @dataclass(frozen=True)
@@ -146,10 +165,16 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
     hyper = factor_hyperparams(cfg)
     role_code = 0 if cfg.role is DatasetRole.FIRST else 1
     g = rng.substream(cfg.seed, "factor-data", role_code)
+    # The bits of g.normal(per_column, scale) and g.gamma(per_column, scale):
+    # both compute loc + scale * z from the same stream values, and the
+    # single-parameter fills skip numpy's broadcast iterator.
     if cfg.family is FactorFamily.GAUSSIAN:
-        data = g.normal(loc=hyper.per_column, scale=hyper.scale, size=(cfg.n, cfg.dim))
+        data = g.standard_normal((cfg.n, cfg.dim))
+        data *= hyper.scale
+        data += hyper.per_column
     else:
-        data = g.gamma(shape=hyper.per_column, scale=hyper.scale, size=(cfg.n, cfg.dim))
+        data = g.standard_gamma(hyper.per_column, size=(cfg.n, cfg.dim))
+        data *= hyper.scale
     if cfg.centered:
         data -= data.mean(axis=0)
     data.flags.writeable = False  # nothing else holds it: wrapped without a copy
@@ -190,12 +215,14 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     """Dataset of n independent AR(1) trajectories; row = last dim steps.
 
     Each trajectory runs y_t = eps_t + alpha * y_{t-1} from y_{-1} = 0 for
-    burn_in + dim steps and keeps the final dim values, by which point the
-    marginal law is stationary to beyond 64-bit precision for any practical
-    burn-in (the transient decays like alpha^burn_in). Each step rounds
-    alpha * y_{t-1}, then its sum with eps_t: exactly the arithmetic of
-    SciPy's IIR filter with numerator [1] and denominator [1, -alpha], so
-    the output has that filter's bits (the tests compare the two).
+    B + dim steps and keeps the final dim values, with B = _ar1_burn_in(alpha)
+    the fewest steps after which the zero start's trace, alpha^(t+1) times
+    the stationary y_{-1}, is at most 2^-53: the kept window is stationary
+    to double precision. B grows like 36.7 / (1 - alpha) near alpha = 1, and
+    so do the draws and the time per row. Each step rounds alpha * y_{t-1},
+    then its sum with eps_t: exactly the arithmetic of SciPy's IIR filter
+    with numerator [1] and denominator [1, -alpha] from a zero state, so the
+    output has that filter's bits (the tests compare the two).
 
     A step is two ufunc calls across every row of a noise batch (see
     :func:`_ar1_noise`, which owns the batch buffer), on ``_AR1_CHUNK``
@@ -204,7 +231,8 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     ``out``. Besides ``out`` this holds at most the batch, a chunk no larger
     than it and, for Student noise, one draw of at most its size.
     """
-    steps = cfg.burn_in + cfg.dim
+    burn_in = _ar1_burn_in(cfg.alpha)
+    steps = burn_in + cfg.dim
     out = np.empty((cfg.n, cfg.dim))
     add, multiply, alpha = np.add, np.multiply, cfg.alpha
     for lo, eps in _ar1_noise(cfg, steps):
@@ -226,9 +254,9 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
             for y_t in step_rows[:w]:
                 add(y_t, carry, y_t)
                 multiply(y_t, alpha, carry)
-            k = max(0, cfg.burn_in - t0)  # the chunk's first kept step
+            k = max(0, burn_in - t0)  # the chunk's first kept step
             for p, _ in panels if k < w else ():
-                dest[p, t0 + k - cfg.burn_in : t0 + w - cfg.burn_in] = chunk[k:w, p].T
+                dest[p, t0 + k - burn_in : t0 + w - burn_in] = chunk[k:w, p].T
     out.flags.writeable = False  # nothing else holds it: wrapped without a copy
     return EmpiricalDistribution(out)
 

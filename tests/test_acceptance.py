@@ -223,7 +223,7 @@ def test_criterion_10_parallel_execution_is_bitwise_identical():
     cfg = bench.ExperimentConfig(
         scenario=bench.Scenario.AR1_GAUSSIAN, d_grid=(10, 40), n=300, runs=4,
         alpha_list=(0.3, 0.7),
-        master_seed=1010, burn_in=200,
+        master_seed=1010,
     )
     serial = bench.run_convergence(cfg, workers=1)
     threaded = bench.run_convergence(cfg, workers=8)

@@ -40,7 +40,6 @@ def tiny_ar_config(**overrides):
         runs=3,
         alpha_list=(0.3, 0.7),
         master_seed=5,
-        burn_in=100,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -138,10 +137,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_negative_burn_in_rejected(self, scenario):
+        # so is every burn-in: the AR generator takes the count from alpha
         alphas = (0.5,) if scenario.value.startswith("ar1") else ()
-        with pytest.raises(InvalidSample, match="burn_in"):
-            ExperimentConfig(scenario=scenario, alpha_list=alphas, burn_in=-1)
-        ExperimentConfig(scenario=scenario, alpha_list=alphas, burn_in=0)
+        for burn_in in (-1, 0, 500):
+            with pytest.raises(TypeError, match="burn_in"):
+                ExperimentConfig(scenario=scenario, alpha_list=alphas, burn_in=burn_in)
 
     def test_negative_master_seed_rejected_by_the_config(self):
         # Before the check, the study failed in its first cell with an error
@@ -165,8 +165,6 @@ class TestConfigValidation:
          lambda: Ar1Config(dim=2, n=2, alpha=-0.1), "alpha_list"),
         (lambda: ExperimentConfig(scenario="gamma-centered", reference_L=7),
          lambda: Method.MONTE_CARLO_CV.check_args(7, 2.0), "reference_L"),
-        (lambda: ExperimentConfig(scenario="gamma-centered", burn_in=-3),
-         lambda: Ar1Config(dim=2, n=2, alpha=0.5, burn_in=-3), None),
     ])
     def test_config_raises_the_owners_message(self, make_config, make_owner, field):
         # one owner per rule: the config's message is the owner's, after
@@ -200,7 +198,7 @@ class TestConfigValidation:
 
     def test_paper_scale_defaults(self):
         cfg = default_convergence_config(Scenario.GAUSSIAN_CENTERED, paper_scale=True)
-        assert cfg.n == 10_000 and cfg.runs == 100 and cfg.burn_in == 10_000
+        assert cfg.n == 10_000 and cfg.runs == 100
         tim = default_timing_config(paper_scale=True)
         assert tim.n == 10_000 and tim.runs == 100
         assert tuple(m.L for m in tim.methods) == (0, 100, 1000, 5000)
@@ -208,17 +206,16 @@ class TestConfigValidation:
 
     def test_desk_defaults(self):
         cfg = default_convergence_config(Scenario.GAMMA_CENTERED)
-        assert (cfg.d_grid, cfg.n, cfg.runs, cfg.alpha_list, cfg.burn_in) == (
-            (10, 32, 100, 316, 1000), 2000, 20, (), 500)
+        assert (cfg.d_grid, cfg.n, cfg.runs, cfg.alpha_list) == (
+            (10, 32, 100, 316, 1000), 2000, 20, ())
         tim = default_timing_config()
-        assert (tim.d_grid, tim.n, tim.runs, tim.burn_in) == ((10, 32, 100, 316, 1000), 2000, 3, 500)
-        assert default_timing_config(paper_scale=True).burn_in == 500  # gamma data has no burn-in
+        assert (tim.d_grid, tim.n, tim.runs) == ((10, 32, 100, 316, 1000), 2000, 3)
 
     @pytest.mark.parametrize("paper_scale", [False, True])
     def test_overrides_win_at_either_scale(self, paper_scale):
         cfg = default_convergence_config(Scenario.AR1_STUDENT, paper_scale=paper_scale,
-                                         d_grid=[3, 5], n=40, runs=2, alpha_list=[0.1], burn_in=7)
-        assert (cfg.d_grid, cfg.n, cfg.runs, cfg.alpha_list, cfg.burn_in) == ((3, 5), 40, 2, (0.1,), 7)
+                                         d_grid=[3, 5], n=40, runs=2, alpha_list=[0.1])
+        assert (cfg.d_grid, cfg.n, cfg.runs, cfg.alpha_list) == ((3, 5), 40, 2, (0.1,))
         tim = default_timing_config(paper_scale=paper_scale, d_grid=[4], n=30, runs=1)
         assert (tim.d_grid, tim.n, tim.runs) == ((4,), 30, 1)
 
@@ -279,6 +276,16 @@ class TestRunConvergence:
         assert started == []
         run_convergence(tiny_ar_config(), workers=2)
         assert started  # the counter sees a pool's threads
+
+    def test_ar_pair_is_stationary_from_its_first_kept_step(self):
+        # A fixed 500-step burn-in left column 0 with 1 - 0.999^1002 = 63 %
+        # of the stationary variance 1 / (1 - alpha^2).
+        alpha = 0.999
+        cfg = ExperimentConfig(scenario=Scenario.AR1_GAUSSIAN, alpha_list=(alpha,),
+                               n=1000, d_grid=(2,))
+        for dist in bench._generate_pair(cfg, 2, alpha, bench._cell_seed(cfg, 0, 2, 0))[:2]:
+            ratio = float(dist.data[:, 0].var(ddof=1)) * (1.0 - alpha ** 2)
+            assert ratio == pytest.approx(1.0, rel=0.15)
 
     def test_monte_carlo_reference_path(self):
         cfg = ExperimentConfig(scenario=Scenario.GAMMA_CENTERED, d_grid=(8,), n=60,
@@ -459,6 +466,8 @@ class TestCsvIo:
         cfg = tiny_ar_config()
         records = run_convergence(cfg)
         meta = bench.config_metadata(cfg)
+        assert list(meta)[:list(meta).index("python")] == [
+            "scenario", "n", "runs", "master_seed", "reference", "reference_L", "hyperparams"]
         env = list(meta)[list(meta).index("python"):]
         assert env == ["python", "numpy", "cpu_count", "SW_THREADS",
                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]

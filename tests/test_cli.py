@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import swkit
+from swkit import datagen
 from swkit.cli import main
 from swkit.datagen import FactorConfig, FactorFamily, gen_factors, load_csv, save_csv
 from swkit.estimators import estimate, sw_moment_approx_sq
@@ -44,11 +45,11 @@ class TestHelp:
     @pytest.mark.parametrize("command,flags", [
         ("estimate", ("--method", "--L", "--p", "--seed")),
         ("diagnostics", ("--pair-budget", "--seed")),
-        ("convergence", ("--scenario", "--d", "--n", "--runs", "--alpha", "--burn-in",
+        ("convergence", ("--scenario", "--d", "--n", "--runs", "--alpha",
                          "--seed", "--paper-scale", "--out", "--summary-out")),
         ("timing", ("--d", "--n", "--runs", "--seed", "--paper-scale", "--out")),
         ("generate", ("--family", "--role", "--centered", "--alpha", "--noise",
-                      "--burn-in", "--d", "--n", "--seed", "--out", "--header")),
+                      "--d", "--n", "--seed", "--out", "--header")),
     ])
     def test_help_documents_every_flag(self, capsys, command, flags):
         with pytest.raises(SystemExit) as exc:
@@ -89,9 +90,9 @@ class TestStartup:
         src = os.path.dirname(os.path.dirname(swkit.__file__))
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from swkit import cli, datagen; "
-                "datagen.gen_ar1(datagen.Ar1Config(dim=3, n=5, alpha=0.5, burn_in=10)); "
+                "datagen.gen_ar1(datagen.Ar1Config(dim=3, n=5, alpha=0.5)); "
                 "code = cli.main(['generate', '--family', 'ar1', '--alpha', '0.5', "
-                "'--burn-in', '10', '--d', '3', '--n', '5', '--out', sys.argv[2]]); "
+                "'--d', '3', '--n', '5', '--out', sys.argv[2]]); "
                 "print(code, 'scipy.signal' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "ar1.csv")],
                                 capture_output=True, text=True, check=True)
@@ -367,10 +368,11 @@ class TestGenerate:
     def test_ar1_generation(self, capsys, tmp_path):
         out = tmp_path / "ar.csv"
         code, _, _ = run_cli(capsys, ["generate", "--family", "ar1", "--alpha", "0.5",
-                                      "--burn-in", "50", "--d", "6", "--n", "8",
-                                      "--seed", "3", "--out", str(out)])
+                                      "--d", "6", "--n", "8", "--seed", "3", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 8
+        cfg = datagen.Ar1Config(dim=6, n=8, alpha=0.5, seed=3)
+        assert load_csv(out).data.tobytes() == datagen.gen_ar1(cfg).data.tobytes()
 
     def test_invalid_alpha_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, ["generate", "--family", "ar1", "--alpha", "1.5",
@@ -389,7 +391,7 @@ class TestExperimentCommands:
         out = tmp_path / "records.csv"
         code, stdout, _ = run_cli(capsys, [
             "convergence", "--scenario", "ar1-gaussian", "--alpha", "0.5",
-            "--runs", "1", "--d", "10", "--n", "100", "--burn-in", "100",
+            "--runs", "1", "--d", "10", "--n", "100",
             "--seed", "3", "--out", str(out),
         ])
         assert code == 0
@@ -413,7 +415,7 @@ class TestExperimentCommands:
 
     def test_convergence_reproducible_bytes(self, capsys, tmp_path):
         argv = ["convergence", "--scenario", "ar1-student", "--alpha", "0.3",
-                "--runs", "2", "--d", "6,12", "--n", "40", "--burn-in", "60", "--seed", "8"]
+                "--runs", "2", "--d", "6,12", "--n", "40", "--seed", "8"]
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
@@ -448,22 +450,26 @@ class TestExperimentCommands:
         assert "swkit: error:" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario", ["ar1-gaussian", "gaussian-centered"])
-    def test_negative_burn_in_is_usage_error(self, capsys, tmp_path, scenario):
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--scenario", "ar1-gaussian", "--alpha", "0.5", "--runs", "1"],
+        ["convergence", "--scenario", "gaussian-centered", "--runs", "1"],
+        ["generate", "--family", "ar1", "--alpha", "0.5"],
+    ], ids=["ar1-gaussian", "gaussian-centered", "generate"])
+    def test_negative_burn_in_is_usage_error(self, capsys, tmp_path, argv):
+        # so is every burn-in: the AR generator takes the count from alpha
         out = tmp_path / "r.csv"
-        alpha = ["--alpha", "0.5"] if scenario.startswith("ar1") else []
-        code, stdout, err = run_cli(capsys, [
-            "convergence", "--scenario", scenario, *alpha, "--burn-in", "-5",
-            "--runs", "1", "--d", "3", "--n", "20", "--out", str(out),
-        ])
-        assert code == 1
-        assert stdout == ""
-        assert "swkit: error: burn_in must be >= 0, got -5" in err
-        assert not out.exists()
+        for value in ("-5", "5"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--burn-in", value, "--d", "3", "--n", "20", "--out", str(out)])
+            assert exc.value.code == 1
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert f"error: unrecognized arguments: --burn-in {value}" in err
+            assert not out.exists()
 
     def test_unwritable_out_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, [
             "convergence", "--scenario", "ar1-gaussian", "--alpha", "0.5", "--runs", "1",
-            "--d", "6", "--n", "30", "--burn-in", "50", "--out", "/nonexistent-dir/r.csv",
+            "--d", "6", "--n", "30", "--out", "/nonexistent-dir/r.csv",
         ])
         assert code == 2

@@ -108,6 +108,23 @@ class TestFactorGenerator:
         scale = np.max(np.abs(data))
         assert np.max(np.abs(data.mean(axis=0))) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (513, 1000)], ids=str)
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("role", list(DatasetRole))
+    @pytest.mark.parametrize("family", list(FactorFamily))
+    def test_same_bits_as_the_broadcast_draws(self, family, role, centered, shape):
+        n, d = shape
+        cfg = FactorConfig(dim=d, n=n, family=family, centered=centered, role=role, seed=d + n)
+        hyper = factor_hyperparams(cfg)
+        g = rng.substream(cfg.seed, "factor-data", 0 if role is DatasetRole.FIRST else 1)
+        if family is FactorFamily.GAUSSIAN:
+            want = g.normal(loc=hyper.per_column, scale=hyper.scale, size=shape)
+        else:
+            want = g.gamma(shape=hyper.per_column, scale=hyper.scale, size=shape)
+        if centered:
+            want -= want.mean(axis=0)
+        assert gen_factors(cfg).data.tobytes() == want.tobytes()
+
     def test_deterministic_and_roles_distinct(self):
         cfg = FactorConfig(dim=5, n=400, family=FactorFamily.GAUSSIAN, seed=26)
         np.testing.assert_array_equal(gen_factors(cfg).data, gen_factors(cfg).data)
@@ -132,9 +149,14 @@ class TestFactorGenerator:
             FactorConfig(dim=5, n=0)
 
 
+def alpha_with_burn_in(count):
+    """An AR coefficient whose burn-in is ``count`` steps."""
+    return 0.0 if count == 0 else 2.0 ** (-53 / (count + 0.5))
+
+
 class TestAr1Generator:
     def test_alpha_zero_columns_uncorrelated(self):
-        dist = gen_ar1(Ar1Config(dim=30, n=4000, alpha=0.0, burn_in=100, seed=31))
+        dist = gen_ar1(Ar1Config(dim=30, n=4000, alpha=0.0, seed=31))
         x = dist.data - dist.data.mean(axis=0)
         lag1 = float((x[:, :-1] * x[:, 1:]).sum()) / ((4000 - 1) * 29)
         assert abs(lag1) <= 0.02
@@ -142,13 +164,13 @@ class TestAr1Generator:
 
     def test_stationary_variance(self):
         alpha = 0.5
-        dist = gen_ar1(Ar1Config(dim=50, n=6000, alpha=alpha, burn_in=400, seed=32))
+        dist = gen_ar1(Ar1Config(dim=50, n=6000, alpha=alpha, seed=32))
         target = 1.0 / (1.0 - alpha ** 2)  # 4/3
         assert float(dist.data.var(ddof=1)) == pytest.approx(target, rel=0.05)
 
     def test_autocorrelation_geometric(self):
         alpha = 0.7
-        dist = gen_ar1(Ar1Config(dim=120, n=5000, alpha=alpha, burn_in=400, seed=33))
+        dist = gen_ar1(Ar1Config(dim=120, n=5000, alpha=alpha, seed=33))
         x = dist.data - dist.data.mean(axis=0)
         var = float((x * x).mean())
         for k in (1, 2, 3):
@@ -161,7 +183,7 @@ class TestAr1Generator:
         kappa = []
         for seed in (34, 35):
             dist = gen_ar1(Ar1Config(dim=60, n=3000, alpha=0.0, noise=NoiseKind.STUDENT_T10,
-                                     burn_in=50, seed=seed))
+                                     seed=seed))
             x = dist.data.ravel()
             z = x - x.mean()
             kappa.append(float((z ** 4).mean() / (z ** 2).mean() ** 2))
@@ -169,14 +191,14 @@ class TestAr1Generator:
         assert abs(kappa[0] - kappa[1]) <= 1.0
 
     def test_deterministic(self):
-        cfg = Ar1Config(dim=20, n=700, alpha=0.4, burn_in=100, seed=36)
+        cfg = Ar1Config(dim=20, n=700, alpha=0.4, seed=36)
         np.testing.assert_array_equal(gen_ar1(cfg).data, gen_ar1(cfg).data)
 
     def test_same_law_datasets_have_small_estimated_distance(self):
         from swkit import sw_hat
 
-        a = gen_ar1(Ar1Config(dim=100, n=2000, alpha=0.5, burn_in=300, seed=37))
-        b = gen_ar1(Ar1Config(dim=100, n=2000, alpha=0.5, burn_in=300, seed=38))
+        a = gen_ar1(Ar1Config(dim=100, n=2000, alpha=0.5, seed=37))
+        b = gen_ar1(Ar1Config(dim=100, n=2000, alpha=0.5, seed=38))
         assert math.sqrt(sw_hat(a, b).value_sq) <= 0.1
 
     def test_config_validation(self):
@@ -184,16 +206,28 @@ class TestAr1Generator:
             Ar1Config(dim=5, n=5, alpha=1.0)
         with pytest.raises(InvalidSample):
             Ar1Config(dim=5, n=5, alpha=-0.1)
-        with pytest.raises(InvalidSample):
-            Ar1Config(dim=5, n=5, alpha=0.5, burn_in=-1)
+        with pytest.raises(TypeError, match="burn_in"):  # the alpha sets it
+            Ar1Config(dim=5, n=5, alpha=0.5, burn_in=10)
+
+    @pytest.mark.parametrize("alpha,count", [
+        (0.0, 0), (2.0 ** -106, 0), (0.2, 22), (0.5, 52), (0.8, 164), (0.95, 716),
+        (0.999, 36_718), *((alpha_with_burn_in(k), k) for k in (1, 63, 64, 65)),
+    ])
+    def test_burn_in_is_the_fewest_steps_to_a_transient_of_2_to_the_minus_53(
+            self, alpha, count):
+        assert datagen._ar1_burn_in(alpha) == count
+        assert alpha ** (count + 1) <= 2.0 ** -53
+        assert count == 0 or 2.0 ** -53 < alpha ** count
 
 
 def lfilter_ar1(cfg):
     """The AR(1) dataset of ``cfg`` as scipy's filter computes it: one
-    ``lfilter([1], [1, -alpha])`` per 512-row block of stream draws."""
+    ``lfilter([1], [1, -alpha])`` from a zero state per 512-row block of
+    stream draws, over the burn-in and the dim kept steps."""
     from scipy.signal import lfilter  # the oracle only; swkit never loads it
 
-    steps = cfg.burn_in + cfg.dim
+    burn_in = datagen._ar1_burn_in(cfg.alpha)
+    steps = burn_in + cfg.dim
     noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
     blocks = []
     for block, lo in enumerate(range(0, cfg.n, 512)):
@@ -201,7 +235,7 @@ def lfilter_ar1(cfg):
         shape = (min(512, cfg.n - lo), steps)
         eps = (g.standard_normal(shape) if noise_code == 0
                else g.standard_t(10.0, size=shape))
-        blocks.append(lfilter([1.0], [1.0, -cfg.alpha], eps, axis=1)[:, cfg.burn_in :])
+        blocks.append(lfilter([1.0], [1.0, -cfg.alpha], eps, axis=1)[:, burn_in:])
     return np.concatenate(blocks)
 
 
@@ -210,8 +244,21 @@ class TestAr1MatchesLfilter:
     @pytest.mark.parametrize("n", [1, 511, 512, 513])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
     @pytest.mark.parametrize("noise", list(NoiseKind))
-    def test_same_bits(self, noise, alpha, n, burn_in):
-        cfg = Ar1Config(dim=3, n=n, alpha=alpha, noise=noise, burn_in=burn_in, seed=n + burn_in)
+    def test_same_bits(self, monkeypatch, noise, alpha, n, burn_in):
+        # The recursion at every pairing of alpha and a burn-in that starts
+        # the kept window before, on and after a chunk boundary, apart from
+        # the count the alpha itself would take.
+        monkeypatch.setattr(datagen, "_ar1_burn_in", lambda _: burn_in)
+        cfg = Ar1Config(dim=3, n=n, alpha=alpha, noise=noise, seed=n + burn_in)
+        assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
+
+    @pytest.mark.parametrize("burn_in", [0, 1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_same_bits_at_the_derived_burn_in(self, noise, n, burn_in):
+        cfg = Ar1Config(dim=3, n=n, alpha=alpha_with_burn_in(burn_in), noise=noise,
+                        seed=n + burn_in)
+        assert datagen._ar1_burn_in(cfg.alpha) == burn_in
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 100, 512, 1024, 511, 513, 700])
@@ -220,13 +267,13 @@ class TestAr1MatchesLfilter:
         # budgets of one row, a run of one block's rows, one block, two
         # blocks and runs that straddle a block boundary: the batches must
         # not change a bit
-        cfg = Ar1Config(dim=4, n=1100, alpha=0.8, noise=noise, burn_in=150, seed=9)
-        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * (cfg.burn_in + cfg.dim) * rows)
+        cfg = Ar1Config(dim=4, n=1100, alpha=alpha_with_burn_in(150), noise=noise, seed=9)
+        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * (150 + cfg.dim) * rows)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
     def test_batches_are_runs_of_rows_across_block_boundaries(self, monkeypatch):
-        cfg = Ar1Config(dim=4, n=1100, alpha=0.8, burn_in=150, seed=9)
-        steps = cfg.burn_in + cfg.dim
+        cfg = Ar1Config(dim=4, n=1100, alpha=alpha_with_burn_in(150), seed=9)
+        steps = 150 + cfg.dim
         monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * steps * 700)
         batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, steps)]
         assert batches == [(0, 700), (700, 400)]
@@ -237,7 +284,7 @@ class TestAr1MatchesLfilter:
         # noise) one draw no larger; a whole 512-row block alone is 8.2 MB here.
         budget = 1 << 20
         monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", budget)
-        cfg = Ar1Config(dim=10, n=2000, alpha=0.5, noise=noise, burn_in=1990, seed=3)
+        cfg = Ar1Config(dim=10, n=2000, alpha=alpha_with_burn_in(1990), noise=noise, seed=3)
         tracemalloc.start()
         try:
             gen_ar1(cfg)

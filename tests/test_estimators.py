@@ -1164,7 +1164,7 @@ class TestAutocov:
         from swkit import Ar1Config, gen_ar1
 
         alpha = 0.6
-        dist = gen_ar1(Ar1Config(dim=200, n=4000, alpha=alpha, burn_in=500, seed=6))
+        dist = gen_ar1(Ar1Config(dim=200, n=4000, alpha=alpha, seed=6))
         _, cov, _ = autocov_decay(dist, 3)
         for k in (1, 2, 3):
             assert cov[k] / cov[0] == pytest.approx(alpha ** k, abs=0.05)
