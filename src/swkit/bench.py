@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng
+from . import __version__, rng
 from .core_ot import IsoGaussian, sw2_gaussian_iso_closed
 from .datagen import (
     Ar1Config,
@@ -446,7 +446,8 @@ def _format_value(value) -> str:
 
 def config_metadata(cfg: ExperimentConfig) -> dict:
     """Provenance recorded at the top of a records CSV: the configuration,
-    then the environment that ran it."""
+    then the environment that ran it, starting with the swkit version, which
+    changes whenever a seed maps to different data."""
     return {
         "scenario": cfg.scenario.value,
         "n": cfg.n,
@@ -455,6 +456,7 @@ def config_metadata(cfg: ExperimentConfig) -> dict:
         "reference": "mc-cv" if cfg.scenario.mc_reference else "closed-form",
         "reference_L": cfg.reference_L if cfg.scenario.mc_reference else "",
         "hyperparams": "regenerated-per-run",
+        "swkit": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),

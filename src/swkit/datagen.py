@@ -11,8 +11,10 @@ Two families:
   times the stationary value, to fall to 2^-53 (:func:`_ar1_burn_in`).
 
 Everything is a pure function of (config, seed): same seed, same bytes.
-Rows of AR(1) datasets are generated from fixed-size per-block streams, so
-blocks could be produced in parallel without changing the output.
+Every draw comes from :func:`rng.data_stream` (SFC64) streams: one for a
+dataset's hyperparameters, one for its factor data, and one per fixed-size
+block of AR(1) rows, so blocks could be produced in parallel without
+changing the output.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def factor_hyperparams(cfg: FactorConfig) -> FactorHyperparams:
     """Draw the per-dataset marginal parameters from the (seed, role)-keyed
     hyperparameter stream; regenerating with the same config reproduces them."""
     role_code = 0 if cfg.role is DatasetRole.FIRST else 1
-    g = rng.substream(cfg.seed, "factor-hyper", role_code)
+    g = rng.data_stream(cfg.seed, "factor-hyper", role_code)
     if cfg.family is FactorFamily.GAUSSIAN:
         per_column = g.normal(loc=1.0, scale=1.0, size=cfg.dim)
         scale = _GAUSSIAN_SIGMA[cfg.role]
@@ -164,7 +166,7 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
     """
     hyper = factor_hyperparams(cfg)
     role_code = 0 if cfg.role is DatasetRole.FIRST else 1
-    g = rng.substream(cfg.seed, "factor-data", role_code)
+    g = rng.data_stream(cfg.seed, "factor-data", role_code)
     # The bits of g.normal(per_column, scale) and g.gamma(per_column, scale):
     # both compute loc + scale * z from the same stream values, and the
     # single-parameter fills skip numpy's broadcast iterator.
@@ -189,7 +191,7 @@ def _ar1_noise(cfg: Ar1Config, steps: int):
 
     A batch is the next run of as many consecutive rows as fit, wherever the
     row blocks start and end. Row block b draws its rows in order from
-    ``substream(seed, "ar1", noise, b)``, opened at the block's first row;
+    ``rng.data_stream(seed, "ar1", noise, b)``, opened at the block's first row;
     a stream draws the same values in one call or in several, so the
     batching never changes a bit.
     """
@@ -202,7 +204,7 @@ def _ar1_noise(cfg: Ar1Config, steps: int):
         cuts = [lo, *range((lo // _ROW_BLOCK + 1) * _ROW_BLOCK, hi, _ROW_BLOCK), hi]
         for r, stop in zip(cuts, cuts[1:]):
             if r % _ROW_BLOCK == 0:
-                g = rng.substream(cfg.seed, "ar1", noise_code, r // _ROW_BLOCK)
+                g = rng.data_stream(cfg.seed, "ar1", noise_code, r // _ROW_BLOCK)
             part = buf[r - lo : stop - lo]
             if cfg.noise is NoiseKind.GAUSSIAN:
                 g.standard_normal(out=part)

@@ -326,7 +326,9 @@ def sample_directions(
 
     Rather than build ``rng.substream(seed, start + i)`` per row, one Philox
     generator is set to each row's key from :func:`rng.philox_keys` in the
-    state of a fresh stream, so it yields the same bits.
+    state of a fresh stream, so it yields the same bits. Sphere rows are
+    normalized together after the draws: one stacked matmul takes each
+    row's squared norm by the same dot product as ``row @ row``.
     """
     if d < 1 or count < 1:
         raise InvalidSample(f"d and count must be >= 1, got d={d}, count={count}")
@@ -334,19 +336,24 @@ def sample_directions(
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
     state = _fresh_philox_state(None)
+    keys = rng.philox_keys(seed, start, count).tolist()
     dirs = np.empty((count, d))
-    for row, key in zip(dirs, rng.philox_keys(seed, start, count).tolist()):
+    for row, key in zip(dirs, keys):
         state["state"]["key"] = key
         bit_generator.state = state
         generator.standard_normal(out=row)
-        if law is ProjectionLaw.SPHERE_UNIFORM:
-            norm = math.sqrt(float(row @ row))
-            while norm == 0.0:  # probability zero, but keep the contract airtight
-                generator.standard_normal(out=row)
-                norm = math.sqrt(float(row @ row))
-            row /= norm
     if law is ProjectionLaw.GAUSSIAN_SCALED:
         dirs /= math.sqrt(d)
+        return dirs
+    norms = np.sqrt(dirs[:, None, :] @ dirs[:, :, None]).reshape(count)
+    for i in np.flatnonzero(norms == 0.0):  # probability zero, but keep the contract airtight
+        state["state"]["key"] = keys[i]
+        bit_generator.state = state
+        generator.standard_normal(out=dirs[i])  # the zero draw again; redraw after it
+        while norms[i] == 0.0:
+            generator.standard_normal(out=dirs[i])
+            norms[i] = math.sqrt(float(dirs[i] @ dirs[i]))
+    dirs /= norms[:, None]
     return dirs
 
 

@@ -1,18 +1,24 @@
-"""Counter-based random streams keyed by a seed plus a tuple of sub-keys.
+"""Random streams keyed by a seed plus a tuple of sub-keys.
 
-All stochastic routines in the package pull their randomness from Philox
-streams derived here. Each unit of work (one projection direction, one block
-of trajectories, one experiment cell) owns a stream keyed by its identity, so
-work units can execute in any order and on any number of workers without
-changing a single output bit.
+Each unit of work (one projection direction, one block of trajectories, one
+experiment cell) owns a stream keyed by its identity, so work units can
+execute in any order and on any number of workers without changing a single
+output bit. Every stream of the package is defined in this module, and the
+key is always ``SeedSequence(entropy=seed, spawn_key=subkeys)``; two bit
+generators draw from it, each where its strength is needed:
 
-:func:`substream` is the definition of a stream: a Philox generator seeded by
-``SeedSequence(entropy=seed, spawn_key=subkeys)``. Philox is counter-based
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), so a
-stream is a pure function of its 128-bit key and a counter that starts at 0.
-:func:`philox_keys` computes the keys of ``substream(seed, l)`` for a range
-of indices l directly, bit for bit, so a caller that draws from many such
-streams can re-key one generator instead of building a stream per index.
+* :func:`substream`, Philox, for streams keyed per index: Monte Carlo
+  direction l is ``substream(seed, l)``, the published definition to replay
+  a direction from. Philox is counter-based (Salmon et al., "Parallel Random
+  Numbers: As Easy as 1, 2, 3", SC 2011), so a stream is a pure function of
+  its 128-bit key and a counter that starts at 0. :func:`philox_keys`
+  computes the keys of ``substream(seed, l)`` for a range of indices l
+  directly, bit for bit, so a caller that draws from many such streams can
+  re-key one generator instead of building a stream per index.
+* :func:`data_stream`, SFC64 (Doty-Humphrey's Small Fast Chaotic
+  generator), for synthetic datasets: a dataset is one sequential draw per
+  work unit, which needs no counter to jump to, and SFC64 takes about a
+  quarter to a third less time than Philox per normal or gamma draw.
 """
 
 from __future__ import annotations
@@ -57,6 +63,12 @@ def seed_sequence(seed: int, *subkeys) -> np.random.SeedSequence:
 def substream(seed: int, *subkeys) -> np.random.Generator:
     """Independent generator for the work unit identified by (seed, subkeys)."""
     return np.random.Generator(np.random.Philox(seed_sequence(seed, *subkeys)))
+
+
+def data_stream(seed: int, *subkeys) -> np.random.Generator:
+    """Generator of the synthetic data of the work unit (seed, subkeys): an
+    SFC64 stream seeded by the same key rule as :func:`substream`."""
+    return np.random.Generator(np.random.SFC64(seed_sequence(seed, *subkeys)))
 
 
 def derive_seed(seed: int, *subkeys) -> int:

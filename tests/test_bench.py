@@ -1,11 +1,14 @@
 import dataclasses
 import itertools
 import math
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swkit
 import swkit.bench as bench
 from swkit.bench import (
     ExperimentConfig,
@@ -466,11 +469,12 @@ class TestCsvIo:
         cfg = tiny_ar_config()
         records = run_convergence(cfg)
         meta = bench.config_metadata(cfg)
-        assert list(meta)[:list(meta).index("python")] == [
+        assert list(meta)[:list(meta).index("swkit")] == [
             "scenario", "n", "runs", "master_seed", "reference", "reference_L", "hyperparams"]
-        env = list(meta)[list(meta).index("python"):]
-        assert env == ["python", "numpy", "cpu_count", "SW_THREADS",
+        env = list(meta)[list(meta).index("swkit"):]
+        assert env == ["swkit", "python", "numpy", "cpu_count", "SW_THREADS",
                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        assert meta["swkit"] == swkit.__version__
         assert meta["numpy"] == np.__version__
         assert meta["SW_THREADS"] == "unset"
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -479,6 +483,11 @@ class TestCsvIo:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         monkeypatch.setenv("SW_THREADS", "3")
         assert bench.config_metadata(cfg)["SW_THREADS"] == "3"
+
+    def test_package_version_is_the_pyproject_version(self):
+        # the records CSV names swkit.__version__; an install reports pyproject's
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE) == [swkit.__version__]
 
     @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_metadata_records_blas_thread_variables(self, var, monkeypatch):

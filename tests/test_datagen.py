@@ -116,7 +116,7 @@ class TestFactorGenerator:
         n, d = shape
         cfg = FactorConfig(dim=d, n=n, family=family, centered=centered, role=role, seed=d + n)
         hyper = factor_hyperparams(cfg)
-        g = rng.substream(cfg.seed, "factor-data", 0 if role is DatasetRole.FIRST else 1)
+        g = rng.data_stream(cfg.seed, "factor-data", 0 if role is DatasetRole.FIRST else 1)
         if family is FactorFamily.GAUSSIAN:
             want = g.normal(loc=hyper.per_column, scale=hyper.scale, size=shape)
         else:
@@ -231,7 +231,7 @@ def lfilter_ar1(cfg):
     noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
     blocks = []
     for block, lo in enumerate(range(0, cfg.n, 512)):
-        g = rng.substream(cfg.seed, "ar1", noise_code, block)
+        g = rng.data_stream(cfg.seed, "ar1", noise_code, block)
         shape = (min(512, cfg.n - lo), steps)
         eps = (g.standard_normal(shape) if noise_code == 0
                else g.standard_t(10.0, size=shape))

@@ -244,6 +244,34 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(sample_directions(d, seed, L - 2, law, start=2),
                                           dirs[2:])
 
+    @pytest.mark.parametrize("zeroed", [0, 2, 4])
+    def test_a_zero_draw_is_redrawn_from_the_same_stream(self, monkeypatch, zeroed):
+        # A zero first draw, of probability zero, is forced on one direction:
+        # its row must be the next d normals of the same stream, normalized,
+        # and no other row may move.
+        seed, start, count, d = 99, 3, 5, 4
+        key = swrng.philox_keys(seed, start + zeroed, 1)[0]
+        g = swrng.substream(seed, start + zeroed)
+        g.standard_normal(d)
+        want = g.standard_normal(d)
+        want /= math.sqrt(float(want @ want))
+        plain = sample_directions(d, seed, count, start=start)
+
+        class ZeroFirstDraw(np.random.Generator):
+            def standard_normal(self, *args, out=None, **kwargs):
+                state = self.bit_generator.state["state"]
+                first = (state["key"] == key).all() and not state["counter"].any()
+                drawn = super().standard_normal(*args, out=out, **kwargs)
+                if first:
+                    drawn[...] = 0.0
+                return drawn
+
+        monkeypatch.setattr(np.random, "Generator", ZeroFirstDraw)
+        dirs = sample_directions(d, seed, count, start=start)
+        assert dirs[zeroed].tobytes() == want.tobytes()
+        others = np.arange(count) != zeroed
+        assert dirs[others].tobytes() == plain[others].tobytes()
+
     def test_worker_count_never_changes_bits(self):
         mu = make_dist(20, 60, 5)
         nu = make_dist(21, 60, 5, shift=1.0)

@@ -2,8 +2,9 @@
 function or imports a name it never uses, no module defines a private
 helper, constant or table that nothing in the package reads, no public
 function or class goes uncalled by the package, the acceptance criteria and
-the benchmark, and no module reads a numpy name that the declared floor,
-numpy 1.24, lacks. The benchmark's traced layer names must resolve.
+the benchmark, no module reads a numpy name that the declared floor, numpy
+1.24, lacks, and no module but ``rng`` touches ``numpy.random``. The
+benchmark's traced layer names must resolve.
 
 No linter is a test dependency, so this walks each module's syntax tree
 itself. The unused-import check skips ``__init__.py``, since re-exporting
@@ -31,6 +32,12 @@ NUMPY2_ONLY = {
     "isdtype", "cumulative_sum", "cumulative_prod", "matvec", "vecmat", "unique_values",
     "unique_counts", "unique_inverse", "unique_all", "bitwise_count",
 }
+
+# Every stream is defined in rng.py. The one use of numpy.random elsewhere is
+# the Monte Carlo sampler's single Philox generator, re-keyed per direction
+# with rng.philox_keys, which yields the bits of rng.substream.
+RANDOM_ALLOWED = {("estimators.py", "sample_directions", "np.random.Philox"),
+                  ("estimators.py", "sample_directions", "np.random.Generator")}
 
 
 def unused_imports(text: str) -> list[str]:
@@ -85,6 +92,44 @@ def numpy2_names(text: str) -> list[str]:
             if isinstance(root, ast.Name) and root.id in aliases:
                 found.append((node.lineno, node.attr))
     return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def numpy_random_uses(text: str) -> list[tuple[int, str, str]]:
+    """``(line, enclosing function or class, name)`` of each use of
+    numpy.random in ``text``: an import of it or of a name from it, or an
+    attribute read through a numpy alias (``np.random.Philox``, or
+    ``np.random`` itself). Module-level uses have the scope ``<module>``."""
+    tree = ast.parse(text)
+    aliases = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name.split(".")[0] == "numpy"}
+    found = []
+
+    def is_np_random(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in aliases)
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, scope, alias.name) for alias in node.names
+                         if alias.name.startswith("numpy.random"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found.extend((node.lineno, scope, f"{node.module}.{alias.name}")
+                         for alias in node.names
+                         if node.module.startswith("numpy.random") or alias.name == "random")
+        elif is_np_random(node):
+            found.append((node.lineno, scope, f"{node.value.id}.random"))
+            return
+        elif isinstance(node, ast.Attribute) and is_np_random(node.value):
+            found.append((node.lineno, scope, f"{node.value.value.id}.random.{node.attr}"))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
 
 
 def names_read(texts) -> set[str]:
@@ -225,3 +270,28 @@ def test_checker_sees_a_numpy2_only_name():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_numpy2_only_names(module):
     assert numpy2_names((SRC / module).read_text()) == []
+
+
+def test_checker_sees_numpy_random():
+    text = ("import numpy as np\nimport numpy.random\nfrom numpy import random as npr\n"
+            "from numpy.random import default_rng\nfrom numpy import sqrt\n\n"
+            "g = np.random.default_rng(0)\n\n"
+            "def f():\n    np.random.seed(1)\n    return numpy.random.normal(), np.sqrt(2)\n\n"
+            "class C:\n    def m(self):\n        r = np.random\n        return r\n")
+    assert numpy_random_uses(text) == [
+        (2, "<module>", "numpy.random"), (3, "<module>", "numpy.random"),
+        (4, "<module>", "numpy.random.default_rng"), (7, "<module>", "np.random.default_rng"),
+        (10, "f", "np.random.seed"), (11, "f", "numpy.random.normal"), (15, "m", "np.random")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "rng.py"))
+def test_streams_are_defined_in_rng(module):
+    found = [use for use in numpy_random_uses((SRC / module).read_text())
+             if (module, *use[1:]) not in RANDOM_ALLOWED]
+    assert found == []
+
+
+def test_allowed_numpy_random_uses_exist():
+    found = {(module, *use[1:]) for module in MODULES
+             for use in numpy_random_uses((SRC / module).read_text())}
+    assert RANDOM_ALLOWED <= found
