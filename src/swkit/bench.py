@@ -67,6 +67,13 @@ TIMING_L_GRID = (100, 1000, 5000)
 DEFAULT_ALPHAS = (0.2, 0.5, 0.8)
 
 _TIMING_REPS = 3
+# Directions in a gamma reference's first mc-cv estimate, 16 * CV_MIN_PROJECTIONS
+# (124 residual degrees of freedom for the fit's four parameters). At n=2000,
+# d=10..1000 a 512-direction start read 0.07-0.35 of its target standard error
+# at reference_L = 5000..20000, so a full block overshot it; at 128 the
+# standard error still tracks the spread of the estimates (mean se / sd read
+# 0.91-1.02 over 400 seeds, 0.92-1.04 at 512).
+_PILOT_L = 128
 
 class Scenario(str, enum.Enum):
     """A synthetic study pair and its recipe: a factor scenario draws both
@@ -135,7 +142,9 @@ class ExperimentConfig:
 
     The scenario decides the reference (:class:`Scenario`). A Monte Carlo
     reference is an ``mc-cv`` estimate as accurate as plain sphere Monte
-    Carlo with ``reference_L`` projections (:func:`_reference`), so
+    Carlo with ``reference_L`` projections (:func:`_reference`). It starts
+    from a 128-direction pilot and takes more directions, at most
+    ``reference_L``, only when the pilot misses that accuracy, so
     ``reference_L`` obeys the ``mc-cv`` rule: at least 8.
     """
 
@@ -284,15 +293,17 @@ def _reference(cfg, mu, nu, closed_ref, cell_seed) -> tuple[float, float]:
     error 0, or, for gamma, the ``mc-cv`` estimate on directions 0..L-1 of
     the cell's reference stream.
 
-    L starts at min(reference_L, PROJECTION_BLOCK). The target standard
-    error is sd(w) / sqrt(reference_L), that of plain sphere Monte Carlo at
-    reference_L, read from the same draws. Only when the estimate misses it
-    does L grow, to the count its 1/sqrt(L) law asks for, rounded up to
-    whole blocks and capped at reference_L."""
+    L starts at a pilot of min(reference_L, _PILOT_L) directions. The target
+    standard error is sd(w) / sqrt(reference_L), that of plain sphere Monte
+    Carlo at reference_L, read from the pilot's draws. Only when the pilot
+    misses it does L grow, to the count its 1/sqrt(L) law asks for, rounded
+    up to whole PROJECTION_BLOCK blocks and capped at reference_L; a grown
+    reference is the fixed-L ``mc-cv`` call, which recomputes the pilot's
+    directions."""
     if not cfg.scenario.mc_reference:
         return closed_ref, 0.0
     seed = rng.derive_seed(cell_seed, "reference")
-    first = min(cfg.reference_L, PROJECTION_BLOCK)
+    first = min(cfg.reference_L, _PILOT_L)
     est, w = monte_carlo_sw_cv(mu, nu, first, seed=seed)
     target = float(w.std(ddof=1)) / math.sqrt(cfg.reference_L)
     if est.std_error > target:

@@ -107,11 +107,19 @@ def test_criterion_04_per_projection_translation_identity():
     report(4, "translation identity held to 1e-9 on 100 random (dataset, direction) pairs")
 
 
-def test_criterion_05_centered_gamma_error_decays():
+def test_criterion_05_centered_gamma_error_decays(monkeypatch):
     t0 = time.perf_counter()
     cfg = bench.default_convergence_config(bench.Scenario.GAMMA_CENTERED, master_seed=505)
     assert cfg.d_grid == (10, 32, 100, 316, 1000) and cfg.n == 2000 and cfg.runs == 20
     assert cfg.reference_L == 20_000
+    reference_calls = []  # L of each reference mc-cv call: a pilot, then any grown one
+    real = bench.monte_carlo_sw_cv
+
+    def counted(mu, nu, L, seed):
+        reference_calls.append(L)
+        return real(mu, nu, L, seed=seed)
+
+    monkeypatch.setattr(bench, "monte_carlo_sw_cv", counted)
     records = bench.run_convergence(cfg)
     rows = bench.summarize(records)
     slope, _, _ = bench.fit_loglog_slope(
@@ -134,8 +142,10 @@ def test_criterion_05_centered_gamma_error_decays():
         assert r.reference_se <= plain_se, f"d={r.d} run={r.run_id}: {r.reference_se:.3g} " \
                                            f"> {plain_se:.3g}"
         worst = max(worst, r.reference_se / plain_se)
+    grown = len(reference_calls) - len(records)
     report(5, f"centered-gamma slope {slope:.3f} (<= -0.3) in {elapsed:.0f}s; every reference "
-              f"se <= {worst:.2f} x plain L=20000")
+              f"se <= {worst:.2f} x plain L=20000; {grown} of {len(records)} references grew "
+              f"past the pilot, {sum(reference_calls)} directions in all")
 
 
 def test_criterion_06_ar1_error_decays_for_each_alpha():
