@@ -52,9 +52,11 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -77,12 +79,13 @@ from .errors import (
 )
 
 # Directions per Monte Carlo block. It fixes three things: the row count M of
-# each block's two GEMMs, the workspace every worker holds for the whole call,
-# 2 * PROJECTION_BLOCK * n * 8 bytes (8 KiB * n), and the low-order bits of the
-# per-projection values, since OpenBLAS may round a GEMM row differently at
-# another M. Below 512 rows each GEMM call packs the data operand for too few
-# rows: 256 rows ran about 10 % slower at n = 10^4, d = 1000 on one OpenBLAS
-# thread (2-vCPU x86-64 host).
+# each block's two GEMMs, the workspace every span of blocks holds for the
+# whole call, 2 * PROJECTION_BLOCK * n * 8 bytes (8 KiB * n) shared by the
+# span's one or two workers, and the low-order bits of the per-projection
+# values, since OpenBLAS may round a GEMM row differently at another M. Below
+# 512 rows each GEMM call packs the data operand for too few rows: 256 rows
+# ran about 10 % slower at n = 10^4, d = 1000 on one OpenBLAS thread (2-vCPU
+# x86-64 host).
 PROJECTION_BLOCK = 512
 
 # Fewest directions mc-cv accepts: its fit has up to four parameters (an
@@ -370,17 +373,27 @@ def _row_moments(rows: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean, sq_sum / rows.shape[1]
 
 
+def _block_costs(x, y, p, start, values, covariates, buf):
+    """Costs of the projected rows ``x`` (mu) and ``y`` (nu) of directions
+    start.., written into ``values``. Given an (L, 3) ``covariates`` array
+    (mc-cv only), each direction's control variates also go there, taken
+    from the projections before they are sorted: the squared gap of the
+    projected means and the projected variances of mu and nu."""
+    stop = start + len(x)
+    if covariates is not None:
+        (mean_x, var_x), (mean_y, var_y) = _row_moments(x, buf), _row_moments(y, buf)
+        covariates[start:stop] = np.column_stack(((mean_x - mean_y) ** 2, var_x, var_y))
+    values[start:stop] = sorted_gap_costs(x, y, p)
+
+
 def _projection_span(mu_data, nu_data, p, law, seed, lo, hi, values, covariates=None):
     """Per-projection transport costs of directions lo..hi-1 (index-keyed
-    streams), written into ``values[lo:hi]``. ``lo`` is a multiple of
-    PROJECTION_BLOCK; the span runs one block of directions at a time, each
-    projected into the first rows of one (2, min(hi - lo, PROJECTION_BLOCK),
-    n) workspace that the span allocates and every block of it reuses.
-
-    Given an (L, 3) ``covariates`` array (mc-cv only), each direction's
-    control variates also go to ``covariates[lo:hi]``, taken from the
-    projections before they are sorted: the squared gap of the projected
-    means and the projected variances of mu and nu."""
+    streams) on one thread, written into ``values[lo:hi]`` (and
+    ``covariates[lo:hi]``, see :func:`_block_costs`). ``lo`` is a multiple
+    of PROJECTION_BLOCK; the span runs one block of directions at a time,
+    each projected into the first rows of one (2, min(hi - lo,
+    PROJECTION_BLOCK), n) workspace that the span allocates and every block
+    of it reuses."""
     n = mu_data.shape[0]
     ws = np.empty((2, min(hi - lo, PROJECTION_BLOCK), n))
     buf = None if covariates is None else np.empty((_MOMENT_CHUNK, n))
@@ -391,10 +404,41 @@ def _projection_span(mu_data, nu_data, p, law, seed, lo, hi, values, covariates=
         np.matmul(dirs, mu_data.T, out=x)
         np.matmul(dirs, nu_data.T, out=y)
         del dirs  # so the next block's draw is the only direction matrix held
-        if covariates is not None:
-            (mean_x, var_x), (mean_y, var_y) = _row_moments(x, buf), _row_moments(y, buf)
-            covariates[start:stop] = np.column_stack(((mean_x - mean_y) ** 2, var_x, var_y))
-        values[start:stop] = sorted_gap_costs(x, y, p)
+        _block_costs(x, y, p, start, values, covariates, buf)
+
+
+def _paired_span(mu_data, nu_data, p, law, seed, lo, hi, values, covariates, team, side):
+    """Thread ``side`` (0 projects mu, 1 projects nu) of a span that two
+    threads share: the costs of :func:`_projection_span`, bit for bit.
+
+    ``team`` is the span's (2, min(hi - lo, PROJECTION_BLOCK), n) workspace,
+    its (min(hi - lo, PROJECTION_BLOCK), d) direction buffer and a two-party
+    barrier. Per block, thread 0 draws the first k // 2 rows of the k
+    directions and thread 1 the rest; each thread then runs its side's whole
+    GEMM into its side of the workspace (a GEMM split by rows or columns may
+    round differently), and the costs of its row half of both sides. The
+    barrier after each stage keeps a stage from starting before both
+    threads finish the last one, so a block that fails stops the span there.
+    A failing thread breaks the barrier and raises; its partner returns."""
+    ws, dirs, barrier = team
+    data = (mu_data, nu_data)[side]
+    buf = None if covariates is None else np.empty((_MOMENT_CHUNK, data.shape[0]))
+    try:
+        for start in range(lo, hi, PROJECTION_BLOCK):
+            k = min(PROJECTION_BLOCK, hi - start)
+            a, b = (0, k // 2) if side == 0 else (k // 2, k)
+            if b > a:
+                dirs[a:b] = sample_directions(data.shape[1], seed, b - a, law, start=start + a)
+            barrier.wait()
+            np.matmul(dirs[:k], data.T, out=ws[side, :k])
+            barrier.wait()
+            _block_costs(ws[0, a:b], ws[1, a:b], p, start + a, values, covariates, buf)
+            barrier.wait()
+    except threading.BrokenBarrierError:
+        return  # the partner failed and raises its own error
+    except BaseException:
+        barrier.abort()
+        raise
 
 
 def _check_pair(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> None:
@@ -406,20 +450,32 @@ def _check_pair(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> None:
 
 def _projection_costs(mu, nu, L, p, law, seed, workers, covariates=None) -> np.ndarray:
     """The L per-projection costs of directions 0..L-1, in blocks of
-    ``PROJECTION_BLOCK``: worker w runs the contiguous span of blocks
-    ``blocks * w // workers`` to ``blocks * (w + 1) // workers - 1``
-    (:func:`_projection_span`), and the spans write disjoint slices of the
+    ``PROJECTION_BLOCK``, on ``threads = min(workers, 2 * blocks)`` threads.
+
+    Span i owns the thread slots 2i up to e = min(2i + 2, threads) and the
+    blocks ``blocks * 2i // threads`` up to ``blocks * e // threads``, both
+    ends exclusive, so a one-slot span gets half a pair's share. A two-slot
+    span runs on two threads, one per input (:func:`_paired_span`), and a
+    one-slot span on one (:func:`_projection_span`), so ``ceil(threads /
+    2)`` workspaces exist at once. The spans write disjoint slices of the
     one returned vector (and of ``covariates``)."""
     blocks = -(-L // PROJECTION_BLOCK)
-    workers = min(max(1, int(workers)), blocks)
-    bounds = [min(blocks * w // workers * PROJECTION_BLOCK, L) for w in range(workers + 1)]
+    threads = min(max(1, int(workers)), 2 * blocks)
+    slots = [*range(0, threads, 2), threads]
+    bounds = [min(blocks * s // threads * PROJECTION_BLOCK, L) for s in slots]
     values = np.empty(L)
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # one worker starts no thread
-        list((map if workers == 1 else pool.map)(
-            lambda lo, hi: _projection_span(mu.data, nu.data, p, law, seed, lo, hi, values,
-                                            covariates),
-            bounds[:-1], bounds[1:],
-        ))
+    span_args = (mu.data, nu.data, p, law, seed)
+    runs = []
+    for lo, hi, first, last in zip(bounds, bounds[1:], slots, slots[1:]):
+        if last - first == 1:
+            runs.append(partial(_projection_span, *span_args, lo, hi, values, covariates))
+            continue
+        rows = min(hi - lo, PROJECTION_BLOCK)
+        team = (np.empty((2, rows, mu.n)), np.empty((rows, mu.dim)), threading.Barrier(2))
+        runs += [partial(_paired_span, *span_args, lo, hi, values, covariates, team, side)
+                 for side in (0, 1)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # one worker starts no thread
+        list((map if threads == 1 else pool.map)(lambda run: run(), runs))
     return values
 
 
@@ -440,11 +496,13 @@ def monte_carlo_sw_pp(
     and the mean is reduced in index order, so the result is identical for
     any ``workers`` count.
 
-    Directions run in blocks of ``PROJECTION_BLOCK``, each worker on one
-    contiguous span of blocks (:func:`_projection_costs`). The span owns one
-    (2, PROJECTION_BLOCK, n) float64 workspace that each of its blocks
-    projects into, so a call holds ``workers * 2 * PROJECTION_BLOCK * n * 8``
-    bytes of projections (8 KiB * n per worker) at any L.
+    Directions run in blocks of ``PROJECTION_BLOCK``, each pair of workers
+    on one contiguous span of blocks, one worker per input
+    (:func:`_projection_costs`). The span owns one (2, PROJECTION_BLOCK, n)
+    float64 workspace that each of its blocks projects into, so a call holds
+    ``ceil(workers / 2) * 2 * PROJECTION_BLOCK * n * 8`` bytes of
+    projections (8 KiB * n per pair of workers) at any L. A one-block call
+    (L <= PROJECTION_BLOCK) runs on two threads when given two workers.
     """
     _check_pair(mu, nu)
     law = ProjectionLaw(law)
@@ -517,9 +575,9 @@ def monte_carlo_sw_cv(
 
     Returns the estimate and the L per-direction costs. w and c are filled in
     index order and fitted once, so the result is identical for any
-    ``workers`` count. Beyond the workspace of :func:`monte_carlo_sw_pp`, a
+    ``workers`` count. Beyond the workspaces of :func:`monte_carlo_sw_pp`, a
     call holds the (L, 3) variates and a (_MOMENT_CHUNK, n) centering buffer
-    per worker.
+    per thread.
     """
     _check_pair(mu, nu)
     L, p = Method.MONTE_CARLO_CV.check_args(L, 2.0)

@@ -273,13 +273,16 @@ class TestMonteCarlo:
         assert dirs[others].tobytes() == plain[others].tobytes()
 
     def test_worker_count_never_changes_bits(self):
+        # Two workers share a block, one per input; L = 1 leaves one of them
+        # an empty row half, and odd counts leave a span on one thread.
         mu = make_dist(20, 60, 5)
         nu = make_dist(21, 60, 5, shift=1.0)
-        base, per_base = monte_carlo_sw_pp(mu, nu, 2500, seed=8, workers=1)
-        for workers in (2, 4):
-            est, per = monte_carlo_sw_pp(mu, nu, 2500, seed=8, workers=workers)
-            assert est.value_sq == base.value_sq
-            np.testing.assert_array_equal(per, per_base)
+        for L in (1, 7, PROJECTION_BLOCK + 1, 2500):
+            base, per_base = monte_carlo_sw_pp(mu, nu, L, seed=8, workers=1)
+            for workers in (2, 3, 4, 5):
+                est, per = monte_carlo_sw_pp(mu, nu, L, seed=8, workers=workers)
+                assert est.value_sq == base.value_sq, (L, workers)
+                np.testing.assert_array_equal(per, per_base)
 
     def test_std_error_is_that_of_the_per_projection_mean(self):
         mu = make_dist(22, 60, 5)
@@ -360,10 +363,11 @@ class TestMonteCarlo:
         monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=2)
         assert started  # the counter sees a pool's threads
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_peak_memory_is_one_workspace_per_worker(self, workers):
-        # Each worker reuses one (2, 512, n) workspace. The old blocks
-        # allocated two fresh (1024, n) GEMM outputs each.
+        # Each span reuses one (2, 512, n) workspace, and two workers share a
+        # span, one per input, so a call holds ceil(workers / 2) of them.
+        # One workspace per worker reads 82 MB at two workers here.
         n = 5000
         mu, nu = make_dist(66, n, 50), make_dist(67, n, 50, shift=0.5)
         tracemalloc.start()
@@ -372,10 +376,10 @@ class TestMonteCarlo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = workers * (2 * 512 * n * 8 + 4 * 2 ** 20)
+        bound = -(-workers // 2) * (2 * 512 * n * 8 + 4 * 2 ** 20)
         assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("L", [PROJECTION_BLOCK + 3, 2 * PROJECTION_BLOCK - 1])
     def test_reused_workspace_leaks_no_rows_between_blocks(self, L, p, workers):
@@ -391,7 +395,9 @@ class TestMonteCarlo:
 
     def test_many_workers_never_share_a_workspace(self):
         # More workers than cores and a short switch interval: two blocks
-        # writing one workspace at once would change their values.
+        # writing one workspace at once would change their values. The two
+        # threads of a span write one workspace, each its own side and then
+        # its own rows, and start the next block only when both are done.
         mu, nu = make_dist(70, 200, 5), make_dist(71, 200, 5, shift=0.3)
         L = 16 * PROJECTION_BLOCK + 7
         _, want = monte_carlo_sw_pp(mu, nu, L, seed=4, workers=1)
@@ -419,17 +425,26 @@ class TestMonteCarlo:
         with pytest.raises(InvalidSample):
             monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 0)
 
-    def test_overflowing_order_fails_on_the_first_block(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_order_fails_on_the_first_block(self, monkeypatch, workers):
+        # At two workers both threads share the block, and either may fail:
+        # the error must surface, neither may draw past block 0, and no
+        # thread may outlive the call.
         g = np.random.default_rng(0)
         mu = EmpiricalDistribution(g.standard_normal((20, 3)) * 50.0)
         nu = EmpiricalDistribution(g.gamma(2.0, 1.0, size=(20, 3)))
-        blocks = []  # one direction draw per block
+        draws = []  # (first direction, count) of each draw
         draw = estimators.sample_directions
         monkeypatch.setattr(estimators, "sample_directions",
-                            lambda *args, **kw: blocks.append(args) or draw(*args, **kw))
+                            lambda *args, **kw: draws.append((kw["start"], args[2]))
+                            or draw(*args, **kw))
+        threads = threading.active_count()
         with pytest.raises(InvalidOrder, match=r"p=200\.0.*overflows float64"):
-            monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, p=200)
-        assert len(blocks) == 1
+            monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, p=200, workers=workers)
+        half = PROJECTION_BLOCK // 2
+        block_0 = [(0, PROJECTION_BLOCK)] if workers == 1 else [(0, half), (half, half)]
+        assert sorted(draws) == block_0
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("call", [
         lambda: monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 4, seed=-1),
@@ -484,12 +499,12 @@ class TestMonteCarloCv:
         assert (cv.method, cv.num_projections, cv.seed) == (Method.MONTE_CARLO_CV, L, 12)
         assert cv.wall_time_ns > 0
 
-    @pytest.mark.parametrize("L", [2 * PROJECTION_BLOCK, 4 * PROJECTION_BLOCK - 1,
-                                   4 * PROJECTION_BLOCK + 1])
+    @pytest.mark.parametrize("L", [8, 128, 600, 2 * PROJECTION_BLOCK,
+                                   4 * PROJECTION_BLOCK - 1, 4 * PROJECTION_BLOCK + 1])
     def test_worker_count_never_changes_bits(self, L):
         mu, nu = make_dist(82, 50, 6), make_dist(83, 50, 6, shift=0.4, scale=1.3)
         base, w_base = monte_carlo_sw_cv(mu, nu, L, seed=3, workers=1)
-        for workers in (2, 8):
+        for workers in (2, 3, 5, 8):
             est, w = monte_carlo_sw_cv(mu, nu, L, seed=3, workers=workers)
             assert (est.value_sq.hex(), est.std_error.hex()) == \
                 (base.value_sq.hex(), base.std_error.hex())
@@ -556,10 +571,11 @@ class TestMonteCarloCv:
         with pytest.raises(InvalidOrder):
             estimate(make_dist(1, 10, 2), make_dist(2, 10, 2), "mc-cv", L=8, p=3.0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_peak_memory_is_one_workspace_per_worker(self, workers):
         # The projected moments are centered a few rows at a time: no (512, n)
-        # temporary beyond the workspace monte_carlo_sw_pp already holds.
+        # temporary beyond the workspaces monte_carlo_sw_pp already holds,
+        # one per span of two workers.
         n = 5000
         mu, nu = make_dist(66, n, 50), make_dist(67, n, 50, shift=0.5)
         tracemalloc.start()
@@ -568,7 +584,7 @@ class TestMonteCarloCv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = workers * (2 * 512 * n * 8 + 4 * 2 ** 20)
+        bound = -(-workers // 2) * (2 * 512 * n * 8 + 4 * 2 ** 20)
         assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
 
 
