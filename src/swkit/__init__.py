@@ -63,4 +63,4 @@ from .estimators import (
     xi_d,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -137,8 +137,9 @@ class ExperimentConfig:
     Both experiments write one record per cell and entry of ``methods``,
     which defaults to the convergence study's raw moment surrogate, and take
     each record's wall time from the estimator's own clock. An AR dataset
-    runs as many steps before its kept window as its alpha needs
-    (:class:`swkit.datagen.Ar1Config`), so no field sets them.
+    starts stationary: a Gaussian row from an exact draw of its stationary
+    law, a Student row after as many steps before its kept window as its
+    alpha needs (:class:`swkit.datagen.Ar1Config`), so no field sets them.
 
     The scenario decides the reference (:class:`Scenario`). A Monte Carlo
     reference is an ``mc-cv`` estimate as accurate as plain sphere Monte

@@ -6,9 +6,12 @@ Two families:
   Gamma marginal, with per-dataset hyperparameters themselves drawn from a
   seeded stream so a config reproduces both the hyperparameters and the data,
 * stationary AR(1) trajectories ``X_t = alpha * X_{t-1} + eps_t`` with
-  Gaussian or Student-t(10) innovations, run from a zero start for as many
-  steps before the kept window as it takes the start's trace, alpha^(t+1)
-  times the stationary value, to fall to 2^-53 (:func:`_ar1_burn_in`).
+  Gaussian or Student-t(10) innovations. A Gaussian row starts from an exact
+  draw of its stationary law, eps_0 / sqrt(1 - alpha^2), and runs only its
+  kept steps. The Student-t law has no closed-form stationary law, so a
+  Student row runs from a zero start for as many steps before the kept
+  window as it takes the start's trace, alpha^(t+1) times the stationary
+  value, to fall to 2^-53 (:func:`_ar1_burn_in`).
 
 Everything is a pure function of (config, seed): same seed, same bytes.
 Every draw comes from :func:`rng.data_stream` (SFC64) streams: one for a
@@ -87,10 +90,12 @@ class FactorConfig:
 class Ar1Config:
     """Recipe for a dataset of independent stationary AR(1) trajectories.
 
-    The steps run before the kept window follow from ``alpha`` alone
+    A Gaussian row draws exactly ``dim`` innovations at any ``alpha``: its
+    first step is drawn from the stationary law. A Student row also runs the
+    steps before its kept window that ``alpha`` alone sets
     (:func:`_ar1_burn_in`): none at alpha = 0, 164 at 0.8, and about
-    36.7 / (1 - alpha) near 1, so each row draws that many innovations more
-    than it keeps (36,718 at alpha = 0.999)."""
+    36.7 / (1 - alpha) near 1, so it draws that many innovations more than
+    it keeps (36,718 at alpha = 0.999)."""
 
     dim: int
     n: int
@@ -112,8 +117,9 @@ def check_alpha(alpha) -> None:
 
 
 def _ar1_burn_in(alpha) -> int:
-    """The smallest B >= 0 with alpha^(B+1) <= 2^-53: the steps an AR(1)
-    trajectory runs from y_{-1} = 0 before its kept window.
+    """The smallest B >= 0 with alpha^(B+1) <= 2^-53: the steps a Student
+    AR(1) trajectory runs from y_{-1} = 0 before its kept window (a Gaussian
+    one starts stationary and runs none).
 
     The zero start leaves alpha^(t+1) * y~_{-1} of the stationary path y~ in
     step t, so from step B on that trace is at most 2^-53 of a stationary
@@ -216,15 +222,24 @@ def _ar1_noise(cfg: Ar1Config, steps: int):
 def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     """Dataset of n independent AR(1) trajectories; row = last dim steps.
 
-    Each trajectory runs y_t = eps_t + alpha * y_{t-1} from y_{-1} = 0 for
-    B + dim steps and keeps the final dim values, with B = _ar1_burn_in(alpha)
-    the fewest steps after which the zero start's trace, alpha^(t+1) times
-    the stationary y_{-1}, is at most 2^-53: the kept window is stationary
-    to double precision. B grows like 36.7 / (1 - alpha) near alpha = 1, and
-    so do the draws and the time per row. Each step rounds alpha * y_{t-1},
-    then its sum with eps_t: exactly the arithmetic of SciPy's IIR filter
-    with numerator [1] and denominator [1, -alpha] from a zero state, so the
-    output has that filter's bits (the tests compare the two).
+    Each trajectory runs y_t = eps_t + alpha * y_{t-1} for B + dim steps
+    from y_{-1} = 0, with its first innovation scaled by a start factor c,
+    and keeps the final dim values.
+
+    * Gaussian: B = 0 and c = 1 / sqrt(1 - alpha^2), so y_0 = c * eps_0 is an
+      exact draw from the stationary law N(0, 1 / (1 - alpha^2)) and a row
+      draws dim innovations at any alpha.
+    * Student-t(10): c = 1 and B = _ar1_burn_in(alpha), the fewest steps
+      after which the zero start's trace, alpha^(t+1) times the stationary
+      y_{-1}, is at most 2^-53: the kept window is stationary to double
+      precision. B grows like 36.7 / (1 - alpha) near alpha = 1, and so do
+      the draws and the time per row.
+
+    Each step rounds alpha * y_{t-1}, then its sum with eps_t: exactly the
+    arithmetic of SciPy's IIR filter with numerator [1] and denominator
+    [1, -alpha] from a zero state, run over the innovations with the first
+    one scaled by c, so the output has that filter's bits (the tests compare
+    the two).
 
     A step is two ufunc calls across every row of a noise batch (see
     :func:`_ar1_noise`, which owns the batch buffer), on ``_AR1_CHUNK``
@@ -233,12 +248,17 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     ``out``. Besides ``out`` this holds at most the batch, a chunk no larger
     than it and, for Student noise, one draw of at most its size.
     """
-    burn_in = _ar1_burn_in(cfg.alpha)
+    alpha = cfg.alpha
+    if cfg.noise is NoiseKind.GAUSSIAN:  # (1 - alpha)(1 + alpha) does not cancel near 1
+        burn_in, start = 0, 1.0 / math.sqrt((1.0 - alpha) * (1.0 + alpha))
+    else:
+        burn_in, start = _ar1_burn_in(alpha), 1.0
     steps = burn_in + cfg.dim
     out = np.empty((cfg.n, cfg.dim))
-    add, multiply, alpha = np.add, np.multiply, cfg.alpha
+    add, multiply = np.add, np.multiply
     for lo, eps in _ar1_noise(cfg, steps):
         rows = len(eps)
+        eps[:, 0] *= start
         # Transposes go through panels of at most _ROW_BLOCK rows with a
         # padded stride, so their strided side stays in L1 for any step count.
         chunk = np.empty((min(_AR1_CHUNK, steps), rows + _PAD))[:, :rows]

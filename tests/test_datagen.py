@@ -168,6 +168,20 @@ class TestAr1Generator:
         target = 1.0 / (1.0 - alpha ** 2)  # 4/3
         assert float(dist.data.var(ddof=1)) == pytest.approx(target, rel=0.05)
 
+    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_first_and_last_kept_steps_have_the_stationary_variance(self, noise):
+        # 4 standard errors of the variance stay under 5 % of it at this n,
+        # so a start 5 % short of stationary fails.
+        alpha, n, dim = 0.95, 24_000, 40
+        x = gen_ar1(Ar1Config(dim=dim, n=n, alpha=alpha, noise=noise, seed=17)).data
+        innovation_var = 1.0 if noise is NoiseKind.GAUSSIAN else 10.0 / 8.0
+        target = innovation_var / (1.0 - alpha ** 2)
+        for col in (0, dim - 1):
+            sq = (x[:, col] - x[:, col].mean()) ** 2
+            se = float(sq.std(ddof=1)) / math.sqrt(n)
+            assert 4 * se < 0.05 * target
+            assert abs(float(sq.mean()) - target) <= 4 * se
+
     def test_autocorrelation_geometric(self):
         alpha = 0.7
         dist = gen_ar1(Ar1Config(dim=120, n=5000, alpha=alpha, seed=33))
@@ -223,27 +237,51 @@ class TestAr1Generator:
 def lfilter_ar1(cfg):
     """The AR(1) dataset of ``cfg`` as scipy's filter computes it: one
     ``lfilter([1], [1, -alpha])`` from a zero state per 512-row block of
-    stream draws, over the burn-in and the dim kept steps."""
+    stream draws. A Gaussian row has its first innovation scaled by
+    1 / sqrt(1 - alpha^2) and runs the dim kept steps; a Student row runs
+    the burn-in and the dim kept steps."""
     from scipy.signal import lfilter  # the oracle only; swkit never loads it
 
-    burn_in = datagen._ar1_burn_in(cfg.alpha)
+    gaussian = cfg.noise is NoiseKind.GAUSSIAN
+    burn_in = 0 if gaussian else datagen._ar1_burn_in(cfg.alpha)
     steps = burn_in + cfg.dim
-    noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
+    noise_code = 0 if gaussian else 1
     blocks = []
     for block, lo in enumerate(range(0, cfg.n, 512)):
         g = rng.data_stream(cfg.seed, "ar1", noise_code, block)
         shape = (min(512, cfg.n - lo), steps)
-        eps = (g.standard_normal(shape) if noise_code == 0
-               else g.standard_t(10.0, size=shape))
+        eps = g.standard_normal(shape) if gaussian else g.standard_t(10.0, size=shape)
+        if gaussian:
+            eps[:, 0] *= 1.0 / math.sqrt((1.0 - cfg.alpha) * (1.0 + cfg.alpha))
         blocks.append(lfilter([1.0], [1.0, -cfg.alpha], eps, axis=1)[:, burn_in:])
     return np.concatenate(blocks)
 
 
+def config_of_steps(noise, steps, **kwargs):
+    """An AR(1) config whose rows run ``steps`` steps: all of them kept for
+    Gaussian noise, the last 4 after the burn-in for Student noise."""
+    kept = steps if noise is NoiseKind.GAUSSIAN else 4
+    return Ar1Config(dim=kept, alpha=alpha_with_burn_in(steps - 4), noise=noise, **kwargs)
+
+
+CHUNK_EDGES = [0, 1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)]
+
+
 class TestAr1MatchesLfilter:
-    @pytest.mark.parametrize("burn_in", [0, 1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)])
+    @pytest.mark.parametrize("dim", [1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)]
+                             + [2 * datagen._AR1_CHUNK + 1])
     @pytest.mark.parametrize("n", [1, 511, 512, 513])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
-    @pytest.mark.parametrize("noise", list(NoiseKind))
+    def test_same_bits_from_the_stationary_start(self, alpha, n, dim):
+        # Gaussian rows keep every step: a window that ends before, on and
+        # after a chunk boundary, or carries across two of them.
+        cfg = Ar1Config(dim=dim, n=n, alpha=alpha, seed=n + dim)
+        assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
+
+    @pytest.mark.parametrize("burn_in", CHUNK_EDGES)
+    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("noise", [NoiseKind.STUDENT_T10])
     def test_same_bits(self, monkeypatch, noise, alpha, n, burn_in):
         # The recursion at every pairing of alpha and a burn-in that starts
         # the kept window before, on and after a chunk boundary, apart from
@@ -252,10 +290,12 @@ class TestAr1MatchesLfilter:
         cfg = Ar1Config(dim=3, n=n, alpha=alpha, noise=noise, seed=n + burn_in)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
-    @pytest.mark.parametrize("burn_in", [0, 1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)])
+    @pytest.mark.parametrize("burn_in", CHUNK_EDGES)
     @pytest.mark.parametrize("n", [1, 511, 512, 513])
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_same_bits_at_the_derived_burn_in(self, noise, n, burn_in):
+        # alphas whose burn-in starts a Student row's kept window before, on
+        # and after a chunk boundary; a Gaussian row runs none at any of them
         cfg = Ar1Config(dim=3, n=n, alpha=alpha_with_burn_in(burn_in), noise=noise,
                         seed=n + burn_in)
         assert datagen._ar1_burn_in(cfg.alpha) == burn_in
@@ -267,24 +307,24 @@ class TestAr1MatchesLfilter:
         # budgets of one row, a run of one block's rows, one block, two
         # blocks and runs that straddle a block boundary: the batches must
         # not change a bit
-        cfg = Ar1Config(dim=4, n=1100, alpha=alpha_with_burn_in(150), noise=noise, seed=9)
-        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * (150 + cfg.dim) * rows)
+        cfg = config_of_steps(noise, 154, n=1100, seed=9)
+        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * 154 * rows)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
     def test_batches_are_runs_of_rows_across_block_boundaries(self, monkeypatch):
-        cfg = Ar1Config(dim=4, n=1100, alpha=alpha_with_burn_in(150), seed=9)
-        steps = 150 + cfg.dim
-        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * steps * 700)
-        batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, steps)]
+        cfg = config_of_steps(NoiseKind.GAUSSIAN, 154, n=1100, seed=9)
+        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * 154 * 700)
+        batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, 154)]
         assert batches == [(0, 700), (700, 400)]
 
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_transient_memory_is_bounded_by_the_noise_budget(self, monkeypatch, noise):
         # Besides out, at most the noise batch, a chunk no larger and (Student
-        # noise) one draw no larger; a whole 512-row block alone is 8.2 MB here.
+        # noise) one draw no larger; a whole 512-row block of the 2000 steps
+        # alone is 8.2 MB here.
         budget = 1 << 20
         monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", budget)
-        cfg = Ar1Config(dim=10, n=2000, alpha=alpha_with_burn_in(1990), noise=noise, seed=3)
+        cfg = config_of_steps(noise, 2000, n=2000, seed=3)
         tracemalloc.start()
         try:
             gen_ar1(cfg)
@@ -292,6 +332,33 @@ class TestAr1MatchesLfilter:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * cfg.n * cfg.dim + 3 * budget
+
+
+class TestAr1DrawsOnlyWhatItNeeds:
+    @pytest.mark.parametrize("shape", [(1, 1), (600, 3)], ids=str)
+    @pytest.mark.parametrize("noise,alpha", [
+        (NoiseKind.GAUSSIAN, 0.2), (NoiseKind.GAUSSIAN, 0.8), (NoiseKind.GAUSSIAN, 0.999995),
+        (NoiseKind.STUDENT_T10, 0.2), (NoiseKind.STUDENT_T10, 0.8),
+    ])
+    def test_steps_per_row(self, monkeypatch, noise, alpha, shape):
+        # A Gaussian row draws its dim kept steps alone at any alpha; near
+        # alpha = 1 a burn-in would be about 36.7 / (1 - alpha) steps more
+        # (a minute per row at 0.999995). A Student row still runs its burn-in.
+        n, dim = shape
+        asked, drawn = [], []
+        noise_batches = datagen._ar1_noise
+
+        def counting_noise(cfg, steps):
+            asked.append(steps)
+            for lo, eps in noise_batches(cfg, steps):
+                drawn.append(eps.size)
+                yield lo, eps
+
+        monkeypatch.setattr(datagen, "_ar1_noise", counting_noise)
+        gen_ar1(Ar1Config(dim=dim, n=n, alpha=alpha, noise=noise, seed=5))
+        steps = dim if noise is NoiseKind.GAUSSIAN else datagen._ar1_burn_in(alpha) + dim
+        assert asked == [steps]
+        assert sum(drawn) == n * steps
 
 
 class TestCsvRoundTrip:

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "swkit"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
-# Public functions with no caller yet: ROADMAP item 5 gives them one, the
+# Public functions with no caller yet: ROADMAP item 6 gives them one, the
 # envelope columns of the convergence study.
 UNCALLED_PUBLIC_ALLOWED = {"theorem2_gap_bound", "indep_bound", "weakdep_bound"}
 
