@@ -11,7 +11,10 @@ Two families:
   kept steps. The Student-t law has no closed-form stationary law, so a
   Student row runs from a zero start for as many steps before the kept
   window as it takes the start's trace, alpha^(t+1) times the stationary
-  value, to fall to 2^-53 (:func:`_ar1_burn_in`).
+  value, to fall to 2^-53 (:func:`_ar1_burn_in`). A row that keeps every
+  step it runs (every Gaussian row, and a Student row at alpha = 0) draws
+  its innovations straight into its row of the output and is stepped there
+  in place; only Student rows with a burn-in draw into a separate buffer.
 
 Everything is a pure function of (config, seed): same seed, same bytes.
 Every draw comes from :func:`rng.data_stream` (SFC64) streams: one for a
@@ -37,7 +40,7 @@ from .errors import DatasetParseError, InvalidSample
 from .estimators import EmpiricalDistribution
 
 _ROW_BLOCK = 512  # fixed trajectory block size; part of the output contract
-_AR1_NOISE_BYTES = 32 << 20  # AR(1) innovations held at once
+_AR1_NOISE_BYTES = 32 << 20  # AR(1) innovations per batch, drawn into out unless burned in
 _AR1_CHUNK = 64  # AR(1) steps per time-major buffer, which stays in cache
 _PAD = 8  # doubles added to a transpose buffer's row stride against cache-set conflicts
 _AR1_TRANSIENT = 2.0 ** -53  # largest relative trace of the zero start left in a kept step
@@ -189,11 +192,18 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
     return EmpiricalDistribution(data)
 
 
-def _ar1_noise(cfg: Ar1Config, steps: int):
+def _ar1_noise(cfg: Ar1Config, steps: int, out: np.ndarray):
     """Yield ``(lo, eps)``: the innovations of rows ``lo, lo + 1, ...`` of the
-    dataset, ``steps`` per row, in a buffer of at most ``_AR1_NOISE_BYTES``
-    (one row if a row alone is larger) that this generator owns and refills
-    for each batch.
+    dataset, ``steps`` per row, as many rows at a time as fit in
+    ``_AR1_NOISE_BYTES`` (one row if a row alone is larger).
+
+    When a row's steps are its kept window (``steps`` equals the width of
+    ``out``: every Gaussian row, and a Student row at alpha = 0), ``eps`` is
+    the view ``out[lo:hi]``, drawn in place for the caller to step in place.
+    Otherwise (a Student row with a burn-in) it is a buffer that this
+    generator owns and refills for each batch. Student draws come from
+    ``standard_t``, which has no ``out=``: each call draws at most an eighth
+    of a batch into a temporary that is copied in.
 
     A batch is the next run of as many consecutive rows as fit, wherever the
     row blocks start and end. Row block b draws its rows in order from
@@ -202,21 +212,24 @@ def _ar1_noise(cfg: Ar1Config, steps: int):
     batching never changes a bit.
     """
     rows = min(cfg.n, max(1, _AR1_NOISE_BYTES // (8 * steps)))
-    buf = np.empty((rows, steps))
+    own = None if steps == out.shape[1] else np.empty((rows, steps))
+    draw = max(1, rows // 8)  # rows per Student call
     noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
     for lo in range(0, cfg.n, rows):
         hi = min(lo + rows, cfg.n)
+        buf = out[lo:hi] if own is None else own[: hi - lo]
         # lo, each block start after it in the batch, and hi
         cuts = [lo, *range((lo // _ROW_BLOCK + 1) * _ROW_BLOCK, hi, _ROW_BLOCK), hi]
         for r, stop in zip(cuts, cuts[1:]):
             if r % _ROW_BLOCK == 0:
                 g = rng.data_stream(cfg.seed, "ar1", noise_code, r // _ROW_BLOCK)
-            part = buf[r - lo : stop - lo]
             if cfg.noise is NoiseKind.GAUSSIAN:
-                g.standard_normal(out=part)
+                g.standard_normal(out=buf[r - lo : stop - lo])
             else:
-                part[...] = g.standard_t(10.0, size=part.shape)
-        yield lo, buf[: hi - lo]
+                for s in range(r, stop, draw):
+                    part = buf[s - lo : min(s + draw, stop) - lo]
+                    part[...] = g.standard_t(10.0, size=part.shape)
+        yield lo, buf
 
 
 def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
@@ -242,11 +255,16 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     the two).
 
     A step is two ufunc calls across every row of a noise batch (see
-    :func:`_ar1_noise`, which owns the batch buffer), on ``_AR1_CHUNK``
-    steps at a time transposed into a small time-major chunk that this loop
-    owns. Kept steps go from the chunk straight into the batch's rows of
-    ``out``. Besides ``out`` this holds at most the batch, a chunk no larger
-    than it and, for Student noise, one draw of at most its size.
+    :func:`_ar1_noise`), on ``_AR1_CHUNK`` steps at a time transposed
+    through a panel into a small time-major chunk that this loop owns. Kept
+    steps go from the chunk straight into the batch's rows of ``out``. When
+    a row runs only its kept steps (every Gaussian row, and a Student row at
+    alpha = 0), its innovations are drawn into its row of ``out`` and
+    stepped in place: each chunk reads its columns of the batch before it
+    writes them back. Besides ``out`` a call then holds a chunk and a
+    panel, each no larger than the batch. Only Student rows with a burn-in
+    add a batch buffer, and Student draws a temporary of at most an eighth
+    of a batch.
     """
     alpha = cfg.alpha
     if cfg.noise is NoiseKind.GAUSSIAN:  # (1 - alpha)(1 + alpha) does not cancel near 1
@@ -256,7 +274,7 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     steps = burn_in + cfg.dim
     out = np.empty((cfg.n, cfg.dim))
     add, multiply = np.add, np.multiply
-    for lo, eps in _ar1_noise(cfg, steps):
+    for lo, eps in _ar1_noise(cfg, steps, out):
         rows = len(eps)
         eps[:, 0] *= start
         # Transposes go through panels of at most _ROW_BLOCK rows with a

@@ -314,24 +314,38 @@ class TestAr1MatchesLfilter:
     def test_batches_are_runs_of_rows_across_block_boundaries(self, monkeypatch):
         cfg = config_of_steps(NoiseKind.GAUSSIAN, 154, n=1100, seed=9)
         monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * 154 * 700)
-        batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, 154)]
+        out = np.empty((cfg.n, cfg.dim))
+        batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, 154, out)]
         assert batches == [(0, 700), (700, 400)]
 
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_transient_memory_is_bounded_by_the_noise_budget(self, monkeypatch, noise):
-        # Besides out, at most the noise batch, a chunk no larger and (Student
-        # noise) one draw no larger; a whole 512-row block of the 2000 steps
+        # A row that runs only its kept steps (every Gaussian row, a Student
+        # row at alpha = 0) is drawn and stepped in its row of out. Besides
+        # out that holds a chunk and a panel (75 KB here), the 64 KB
+        # finiteness check of the result and, for Student noise, a draw of
+        # an eighth of a batch (128 KB), all under a quarter of the 1.04 MB
+        # batch that a separate noise buffer would hold. A Student row with
+        # a burn-in adds that buffer: at most the batch, a chunk no larger
+        # and a draw no larger. A whole 512-row block of the 2000 steps
         # alone is 8.2 MB here.
         budget = 1 << 20
         monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", budget)
-        cfg = config_of_steps(noise, 2000, n=2000, seed=3)
-        tracemalloc.start()
-        try:
-            gen_ar1(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * cfg.n * cfg.dim + 3 * budget
+        if noise is NoiseKind.GAUSSIAN:
+            cases = [(config_of_steps(noise, 2000, n=2000, seed=3), budget // 4)]
+        else:
+            cases = [(config_of_steps(noise, 2000, n=2000, seed=3), 3 * budget),
+                     (Ar1Config(dim=2000, n=2000, alpha=0.0, noise=noise, seed=3),
+                      budget // 4)]
+        for cfg, bound in cases:
+            gen_ar1(Ar1Config(dim=1, n=1, alpha=cfg.alpha, noise=noise))  # imports numpy.random
+            tracemalloc.start()
+            try:
+                gen_ar1(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * cfg.n * cfg.dim + bound, (cfg, peak)
 
 
 class TestAr1DrawsOnlyWhatItNeeds:
@@ -348,9 +362,9 @@ class TestAr1DrawsOnlyWhatItNeeds:
         asked, drawn = [], []
         noise_batches = datagen._ar1_noise
 
-        def counting_noise(cfg, steps):
+        def counting_noise(cfg, steps, out):
             asked.append(steps)
-            for lo, eps in noise_batches(cfg, steps):
+            for lo, eps in noise_batches(cfg, steps, out):
                 drawn.append(eps.size)
                 yield lo, eps
 
