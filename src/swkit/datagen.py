@@ -261,10 +261,11 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     a row runs only its kept steps (every Gaussian row, and a Student row at
     alpha = 0), its innovations are drawn into its row of ``out`` and
     stepped in place: each chunk reads its columns of the batch before it
-    writes them back. Besides ``out`` a call then holds a chunk and a
-    panel, each no larger than the batch. Only Student rows with a burn-in
-    add a batch buffer, and Student draws a temporary of at most an eighth
-    of a batch.
+    writes them back. Besides ``out`` a call then holds one chunk and one
+    panel, each no larger than a batch: both are made for the first batch,
+    the largest, and every later batch steps in a slice of them. Only
+    Student rows with a burn-in add a batch buffer, and Student draws a
+    temporary of at most an eighth of a batch.
     """
     alpha = cfg.alpha
     if cfg.noise is NoiseKind.GAUSSIAN:  # (1 - alpha)(1 + alpha) does not cancel near 1
@@ -279,8 +280,11 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
         eps[:, 0] *= start
         # Transposes go through panels of at most _ROW_BLOCK rows with a
         # padded stride, so their strided side stays in L1 for any step count.
-        chunk = np.empty((min(_AR1_CHUNK, steps), rows + _PAD))[:, :rows]
-        panel = np.empty((min(_ROW_BLOCK, rows), _AR1_CHUNK + _PAD))
+        # The first batch is the largest; later ones slice its buffers.
+        if lo == 0:
+            full_chunk = np.empty((min(_AR1_CHUNK, steps), rows + _PAD))
+            panel = np.empty((min(_ROW_BLOCK, rows), _AR1_CHUNK + _PAD))
+        chunk = full_chunk[:, :rows]
         panels = [(slice(r, r + _ROW_BLOCK), panel[: min(_ROW_BLOCK, rows - r)])
                   for r in range(0, rows, _ROW_BLOCK)]
         step_rows = list(chunk)  # one view per step, made once: the loop is call-bound

@@ -79,13 +79,13 @@ from .errors import (
 )
 
 # Directions per Monte Carlo block. It fixes three things: the row count M of
-# each block's two GEMMs, the workspace every span of blocks holds for the
-# whole call, 2 * PROJECTION_BLOCK * n * 8 bytes (8 KiB * n) shared by the
-# span's one or two workers, and the low-order bits of the per-projection
-# values, since OpenBLAS may round a GEMM row differently at another M. Below
-# 512 rows each GEMM call packs the data operand for too few rows: 256 rows
-# ran about 10 % slower at n = 10^4, d = 1000 on one OpenBLAS thread (2-vCPU
-# x86-64 host).
+# each block's two GEMMs, the memory a team of one or two workers holds for
+# the whole call, a (2, PROJECTION_BLOCK, n) workspace and a
+# (PROJECTION_BLOCK, d) direction block (8 KiB * n + 4 KiB * d), and the
+# low-order bits of the per-projection values, since OpenBLAS may round a GEMM
+# row differently at another M. Below 512 rows each GEMM call packs the data
+# operand for too few rows: 256 rows ran about 10 % slower at n = 10^4,
+# d = 1000 on one OpenBLAS thread (2-vCPU x86-64 host).
 PROJECTION_BLOCK = 512
 
 # Fewest directions mc-cv accepts: its fit has up to four parameters (an
@@ -323,6 +323,7 @@ def _fresh_philox_state(key: list[int] | None) -> dict:
 def sample_directions(
     d: int, seed: int, count: int,
     law: ProjectionLaw = ProjectionLaw.SPHERE_UNIFORM, start: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``count`` projection directions in R^d under ``law``, one per row.
 
@@ -332,6 +333,10 @@ def sample_directions(
     Gaussian vectors (a zero vector, of probability zero, is redrawn from the
     same stream); Gaussian directions are N(0, I/d).
 
+    The rows are drawn into ``out``, a C-contiguous (count, d) float64 array
+    that is returned, or into a new array when ``out`` is None; where they
+    land never changes their bits.
+
     Rather than build ``rng.substream(seed, start + i)`` per row, one Philox
     generator is set to each row's key from :func:`rng.philox_keys` in the
     state of a fresh stream, so it yields the same bits. Sphere rows are
@@ -340,12 +345,14 @@ def sample_directions(
     """
     if d < 1 or count < 1:
         raise InvalidSample(f"d and count must be >= 1, got d={d}, count={count}")
+    if out is not None and out.shape != (count, d):
+        raise InvalidSample(f"out must have shape {(count, d)}, got {out.shape}")
     law = ProjectionLaw(law)
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
     state = _fresh_philox_state(None)
     keys = rng.philox_keys(seed, start, count).tolist()
-    dirs = np.empty((count, d))
+    dirs = np.empty((count, d)) if out is None else out
     for row, key in zip(dirs, keys):
         state["state"]["key"] = key
         bit_generator.state = state
@@ -378,66 +385,42 @@ def _row_moments(rows: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean, sq_sum / rows.shape[1]
 
 
-def _block_costs(x, y, p, start, values, covariates, buf):
-    """Costs of the projected rows ``x`` (mu) and ``y`` (nu) of directions
-    start.., written into ``values``. Given an (L, 3) ``covariates`` array
-    (mc-cv only), each direction's control variates also go there, taken
-    from the projections before they are sorted: the squared gap of the
-    projected means and the projected variances of mu and nu."""
-    stop = start + len(x)
-    if covariates is not None:
-        (mean_x, var_x), (mean_y, var_y) = _row_moments(x, buf), _row_moments(y, buf)
-        covariates[start:stop] = np.column_stack(((mean_x - mean_y) ** 2, var_x, var_y))
-    values[start:stop] = sorted_gap_costs(x, y, p)
+def _span_costs(sides, p, law, seed, lo, hi, values, covariates, team, member):
+    """Member ``member`` of the team of one or two threads that computes the
+    costs of directions lo..hi-1 (index-keyed streams) into ``values[lo:hi]``
+    and, given an (L, 3) ``covariates`` array (mc-cv only), their control
+    variates, taken before the sort: the squared gap of the projected means
+    and the projected variances of mu and nu.
 
-
-def _projection_span(mu_data, nu_data, p, law, seed, lo, hi, values, covariates=None):
-    """Per-projection transport costs of directions lo..hi-1 (index-keyed
-    streams) on one thread, written into ``values[lo:hi]`` (and
-    ``covariates[lo:hi]``, see :func:`_block_costs`). ``lo`` is a multiple
-    of PROJECTION_BLOCK; the span runs one block of directions at a time,
-    each projected into the first rows of one (2, min(hi - lo,
-    PROJECTION_BLOCK), n) workspace that the span allocates and every block
-    of it reuses."""
-    n = mu_data.shape[0]
-    ws = np.empty((2, min(hi - lo, PROJECTION_BLOCK), n))
-    buf = None if covariates is None else np.empty((_MOMENT_CHUNK, n))
-    for start in range(lo, hi, PROJECTION_BLOCK):
-        stop = min(start + PROJECTION_BLOCK, hi)
-        dirs = sample_directions(mu_data.shape[1], seed, stop - start, law, start=start)
-        x, y = ws[0, : stop - start], ws[1, : stop - start]
-        np.matmul(dirs, mu_data.T, out=x)
-        np.matmul(dirs, nu_data.T, out=y)
-        del dirs  # so the next block's draw is the only direction matrix held
-        _block_costs(x, y, p, start, values, covariates, buf)
-
-
-def _paired_span(mu_data, nu_data, p, law, seed, lo, hi, values, covariates, team, side):
-    """Thread ``side`` (0 projects mu, 1 projects nu) of a span that two
-    threads share: the costs of :func:`_projection_span`, bit for bit.
-
-    ``team`` is the span's (2, min(hi - lo, PROJECTION_BLOCK), n) workspace,
-    its (min(hi - lo, PROJECTION_BLOCK), d) direction buffer and a two-party
-    barrier. Per block, thread 0 draws the first k // 2 rows of the k
-    directions and thread 1 the rest; each thread then runs its side's whole
-    GEMM into its side of the workspace (a GEMM split by rows or columns may
-    round differently), and the costs of its row half of both sides. The
-    barrier after each stage keeps a stage from starting before both
-    threads finish the last one, so a block that fails stops the span there.
-    A failing thread breaks the barrier and raises; its partner returns."""
+    ``sides`` is (mu data, nu data) and ``team`` the span's (2, rows, n)
+    workspace, (rows, d) direction block and barrier, rows = min(hi - lo,
+    PROJECTION_BLOCK). Per block of k directions (``lo`` is a multiple of
+    PROJECTION_BLOCK), member m of s draws rows [m k // s, (m + 1) k // s)
+    straight into the direction block, runs the whole GEMM of each side in
+    ``range(m, 2, s)`` (a GEMM split by rows may round differently), then
+    the costs of its rows of both sides. A barrier after each stage keeps
+    the next from starting before the whole team is done, so a failing
+    block stops the span there: its member breaks the barrier and raises,
+    and its partner returns."""
     ws, dirs, barrier = team
-    data = (mu_data, nu_data)[side]
-    buf = None if covariates is None else np.empty((_MOMENT_CHUNK, data.shape[0]))
+    size = barrier.parties
+    buf = None if covariates is None else np.empty((_MOMENT_CHUNK, ws.shape[2]))
     try:
         for start in range(lo, hi, PROJECTION_BLOCK):
             k = min(PROJECTION_BLOCK, hi - start)
-            a, b = (0, k // 2) if side == 0 else (k // 2, k)
+            a, b = member * k // size, (member + 1) * k // size
             if b > a:
-                dirs[a:b] = sample_directions(data.shape[1], seed, b - a, law, start=start + a)
+                sample_directions(dirs.shape[1], seed, b - a, law, start=start + a, out=dirs[a:b])
             barrier.wait()
-            np.matmul(dirs[:k], data.T, out=ws[side, :k])
+            for side in range(member, 2, size):
+                np.matmul(dirs[:k], sides[side].T, out=ws[side, :k])
             barrier.wait()
-            _block_costs(ws[0, a:b], ws[1, a:b], p, start + a, values, covariates, buf)
+            x, y = ws[0, a:b], ws[1, a:b]
+            if covariates is not None:
+                (mean_x, var_x), (mean_y, var_y) = _row_moments(x, buf), _row_moments(y, buf)
+                covariates[start + a : start + b] = np.column_stack(
+                    ((mean_x - mean_y) ** 2, var_x, var_y))
+            values[start + a : start + b] = sorted_gap_costs(x, y, p)
             barrier.wait()
     except threading.BrokenBarrierError:
         return  # the partner failed and raises its own error
@@ -459,26 +442,23 @@ def _projection_costs(mu, nu, L, p, law, seed, workers, covariates=None) -> np.n
 
     Span i owns the thread slots 2i up to e = min(2i + 2, threads) and the
     blocks ``blocks * 2i // threads`` up to ``blocks * e // threads``, both
-    ends exclusive, so a one-slot span gets half a pair's share. A two-slot
-    span runs on two threads, one per input (:func:`_paired_span`), and a
-    one-slot span on one (:func:`_projection_span`), so ``ceil(threads /
-    2)`` workspaces exist at once. The spans write disjoint slices of the
-    one returned vector (and of ``covariates``)."""
+    ends exclusive, so a one-slot span gets half a pair's share. Each span
+    runs on a team of one thread per slot (:func:`_span_costs`) that shares
+    one workspace and one direction block, so ``ceil(threads / 2)`` of each
+    exist at once. The spans write disjoint slices of the one returned
+    vector (and of ``covariates``)."""
     blocks = -(-L // PROJECTION_BLOCK)
     threads = min(max(1, int(workers)), 2 * blocks)
     slots = [*range(0, threads, 2), threads]
     bounds = [min(blocks * s // threads * PROJECTION_BLOCK, L) for s in slots]
     values = np.empty(L)
-    span_args = (mu.data, nu.data, p, law, seed)
     runs = []
     for lo, hi, first, last in zip(bounds, bounds[1:], slots, slots[1:]):
-        if last - first == 1:
-            runs.append(partial(_projection_span, *span_args, lo, hi, values, covariates))
-            continue
         rows = min(hi - lo, PROJECTION_BLOCK)
-        team = (np.empty((2, rows, mu.n)), np.empty((rows, mu.dim)), threading.Barrier(2))
-        runs += [partial(_paired_span, *span_args, lo, hi, values, covariates, team, side)
-                 for side in (0, 1)]
+        team = (np.empty((2, rows, mu.n)), np.empty((rows, mu.dim)),
+                threading.Barrier(last - first))
+        runs += [partial(_span_costs, (mu.data, nu.data), p, law, seed, lo, hi, values,
+                         covariates, team, member) for member in range(last - first)]
     with ThreadPoolExecutor(max_workers=threads) as pool:  # one worker starts no thread
         list((map if threads == 1 else pool.map)(lambda run: run(), runs))
     return values
@@ -503,11 +483,11 @@ def monte_carlo_sw_pp(
 
     Directions run in blocks of ``PROJECTION_BLOCK``, each pair of workers
     on one contiguous span of blocks, one worker per input
-    (:func:`_projection_costs`). The span owns one (2, PROJECTION_BLOCK, n)
-    float64 workspace that each of its blocks projects into, so a call holds
-    ``ceil(workers / 2) * 2 * PROJECTION_BLOCK * n * 8`` bytes of
-    projections (8 KiB * n per pair of workers) at any L. A one-block call
-    (L <= PROJECTION_BLOCK) runs on two threads when given two workers.
+    (:func:`_projection_costs`). The span's team reuses one float64 (2,
+    PROJECTION_BLOCK, n) workspace and one (PROJECTION_BLOCK, d) direction
+    block for all of its blocks, so a call holds ``ceil(workers / 2)`` of
+    each (8 KiB * n + 4 KiB * d per pair of workers) at any L. A one-block
+    call (L <= PROJECTION_BLOCK) runs on two threads when given two workers.
     """
     _check_pair(mu, nu)
     law = ProjectionLaw(law)
@@ -582,9 +562,9 @@ def monte_carlo_sw_cv(
 
     Returns the estimate and the L per-direction costs. w and c are filled in
     index order and fitted once, so the result is identical for any
-    ``workers`` count. Beyond the workspaces of :func:`monte_carlo_sw_pp`, a
-    call holds the (L, 3) variates and a (_MOMENT_CHUNK, n) centering buffer
-    per thread.
+    ``workers`` count. Beyond the workspaces and direction blocks of
+    :func:`monte_carlo_sw_pp`, a call holds the (L, 3) variates and a
+    (_MOMENT_CHUNK, n) centering buffer per thread.
     """
     _check_pair(mu, nu)
     L, p = Method.MONTE_CARLO_CV.check_args(L, 2.0)

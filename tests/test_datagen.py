@@ -328,16 +328,24 @@ class TestAr1MatchesLfilter:
         # batch that a separate noise buffer would hold. A Student row with
         # a burn-in adds that buffer: at most the batch, a chunk no larger
         # and a draw no larger. A whole 512-row block of the 2000 steps
-        # alone is 8.2 MB here.
+        # alone is 8.2 MB here. At a 4 MiB budget a Gaussian call makes 8
+        # batches of up to 262 rows and holds one (64, rows + 8) chunk and
+        # one (rows, 64 + 8) panel for all of them, plus the 64 KiB
+        # finiteness block and 32 KiB of slack: 378 KiB. A new chunk and
+        # panel per batch, made while the last batch's are still bound,
+        # reads 586 KiB.
         budget = 1 << 20
-        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", budget)
         if noise is NoiseKind.GAUSSIAN:
-            cases = [(config_of_steps(noise, 2000, n=2000, seed=3), budget // 4)]
+            rows = (4 << 20) // (8 * 2000)
+            cases = [(budget, config_of_steps(noise, 2000, n=2000, seed=3), budget // 4),
+                     (4 << 20, config_of_steps(noise, 2000, n=2000, seed=3),
+                      8 * (64 * (rows + 8) + rows * (64 + 8)) + (64 << 10) + (32 << 10))]
         else:
-            cases = [(config_of_steps(noise, 2000, n=2000, seed=3), 3 * budget),
-                     (Ar1Config(dim=2000, n=2000, alpha=0.0, noise=noise, seed=3),
+            cases = [(budget, config_of_steps(noise, 2000, n=2000, seed=3), 3 * budget),
+                     (budget, Ar1Config(dim=2000, n=2000, alpha=0.0, noise=noise, seed=3),
                       budget // 4)]
-        for cfg, bound in cases:
+        for noise_bytes, cfg, bound in cases:
+            monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", noise_bytes)
             gen_ar1(Ar1Config(dim=1, n=1, alpha=cfg.alpha, noise=noise))  # imports numpy.random
             tracemalloc.start()
             try:

@@ -72,6 +72,29 @@ def make_dist(seed, n, d, shift=0.0, scale=1.0):
     return EmpiricalDistribution(g.standard_normal((n, d)) * scale + shift)
 
 
+# (workers, n, d, bound in bytes) of the Monte Carlo peak-memory tests at
+# L = 2 * 512 + 1, where ceil(workers / 2) teams each hold one (2, 512, n)
+# workspace and one (512, d) direction block. At d = 50 the block fits in
+# 4 MiB of slack per team; at d = 2000 it is counted, with 1 MiB of slack.
+PEAK_MEMORY_CASES = [
+    *(pytest.param(w, 5000, 50, -(-w // 2) * (2 * 512 * 5000 * 8 + 4 * 2 ** 20), id=str(w))
+      for w in (1, 2, 3, 4)),
+    *(pytest.param(w, 200, 2000, -(-w // 2) * (2 * 512 * 200 * 8 + 512 * 2000 * 8) + 2 ** 20,
+                   id=f"wide-d-{w}") for w in (1, 2, 3, 4)),
+]
+
+
+def peak_memory_of(estimator, n, d, workers):
+    """tracemalloc peak of ``estimator`` on an (n, d) pair at L = 2 * 512 + 1."""
+    mu, nu = make_dist(66, n, d), make_dist(67, n, d, shift=0.5)
+    tracemalloc.start()
+    try:
+        estimator(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=workers)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEmpiricalDistribution:
     def test_shape_and_props(self):
         dist = EmpiricalDistribution(np.arange(6.0).reshape(3, 2))
@@ -244,6 +267,18 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(sample_directions(d, seed, L - 2, law, start=2),
                                           dirs[2:])
 
+    def test_out_receives_the_rows_of_a_fresh_draw(self):
+        # Drawn into rows 2..4 of a larger array: the same bits as a new
+        # array, the view itself returned, and no other row written.
+        for law in ProjectionLaw:
+            out = np.full((6, 4), np.nan)
+            got = sample_directions(4, 99, 3, law, start=5, out=out[2:5])
+            assert np.shares_memory(got, out)
+            assert out[2:5].tobytes() == sample_directions(4, 99, 3, law, start=5).tobytes()
+            assert np.isnan(out[[0, 1, 5]]).all()
+        with pytest.raises(InvalidSample, match="out must have shape"):
+            sample_directions(4, 99, 3, out=np.empty((3, 5)))
+
     @pytest.mark.parametrize("zeroed", [0, 2, 4])
     def test_a_zero_draw_is_redrawn_from_the_same_stream(self, monkeypatch, zeroed):
         # A zero first draw, of probability zero, is forced on one direction:
@@ -363,21 +398,16 @@ class TestMonteCarlo:
         monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=2)
         assert started  # the counter sees a pool's threads
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_peak_memory_is_one_workspace_per_worker(self, workers):
+    @pytest.mark.parametrize("workers,n,d,bound", PEAK_MEMORY_CASES)
+    def test_peak_memory_is_one_workspace_per_worker(self, workers, n, d, bound):
         # Each span reuses one (2, 512, n) workspace, and two workers share a
         # span, one per input, so a call holds ceil(workers / 2) of them.
-        # One workspace per worker reads 82 MB at two workers here.
-        n = 5000
-        mu, nu = make_dist(66, n, 50), make_dist(67, n, 50, shift=0.5)
-        tracemalloc.start()
-        try:
-            monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bound = -(-workers // 2) * (2 * 512 * n * 8 + 4 * 2 ** 20)
-        assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
+        # One workspace per worker reads 82 MB at two workers at d = 50. At
+        # d = 2000 the span's (512, d) direction block outweighs its
+        # workspace; its members draw straight into it, where a temporary
+        # per member and a copy read 8 MiB over the bound at two workers.
+        peak = peak_memory_of(monte_carlo_sw_pp, n, d, workers)
+        assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -425,11 +455,13 @@ class TestMonteCarlo:
         with pytest.raises(InvalidSample):
             monte_carlo_sw_pp(make_dist(1, 10, 2), make_dist(2, 10, 2), 0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_overflowing_order_fails_on_the_first_block(self, monkeypatch, workers):
         # At two workers both threads share the block, and either may fail:
         # the error must surface, neither may draw past block 0, and no
-        # thread may outlive the call.
+        # thread may outlive the call. Three workers make a team of two on
+        # blocks 0-1 and a team of one on block 2, which each stop at their
+        # first block.
         g = np.random.default_rng(0)
         mu = EmpiricalDistribution(g.standard_normal((20, 3)) * 50.0)
         nu = EmpiricalDistribution(g.gamma(2.0, 1.0, size=(20, 3)))
@@ -442,8 +474,9 @@ class TestMonteCarlo:
         with pytest.raises(InvalidOrder, match=r"p=200\.0.*overflows float64"):
             monte_carlo_sw_pp(mu, nu, 2 * PROJECTION_BLOCK + 1, p=200, workers=workers)
         half = PROJECTION_BLOCK // 2
-        block_0 = [(0, PROJECTION_BLOCK)] if workers == 1 else [(0, half), (half, half)]
-        assert sorted(draws) == block_0
+        first_blocks = {1: [(0, PROJECTION_BLOCK)], 2: [(0, half), (half, half)],
+                        3: [(0, half), (half, half), (2 * PROJECTION_BLOCK, 1)]}
+        assert sorted(draws) == first_blocks[workers]
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("call", [
@@ -571,21 +604,13 @@ class TestMonteCarloCv:
         with pytest.raises(InvalidOrder):
             estimate(make_dist(1, 10, 2), make_dist(2, 10, 2), "mc-cv", L=8, p=3.0)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_peak_memory_is_one_workspace_per_worker(self, workers):
+    @pytest.mark.parametrize("workers,n,d,bound", PEAK_MEMORY_CASES)
+    def test_peak_memory_is_one_workspace_per_worker(self, workers, n, d, bound):
         # The projected moments are centered a few rows at a time: no (512, n)
-        # temporary beyond the workspaces monte_carlo_sw_pp already holds,
-        # one per span of two workers.
-        n = 5000
-        mu, nu = make_dist(66, n, 50), make_dist(67, n, 50, shift=0.5)
-        tracemalloc.start()
-        try:
-            monte_carlo_sw_cv(mu, nu, 2 * PROJECTION_BLOCK + 1, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bound = -(-workers // 2) * (2 * 512 * n * 8 + 4 * 2 ** 20)
-        assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
+        # temporary beyond the workspaces and direction blocks that
+        # monte_carlo_sw_pp already holds, one of each per span of two workers.
+        peak = peak_memory_of(monte_carlo_sw_cv, n, d, workers)
+        assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
 
 
 class TestProjectionConstant:
