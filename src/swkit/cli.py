@@ -127,13 +127,13 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset to CSV")
     gen.add_argument("--family", required=True, choices=["gaussian", "gamma", "ar1"])
-    gen.add_argument("--role", default="first", choices=["first", "second"],
-                     help="hyperparameter recipe (factor families)")
+    gen.add_argument("--role", default=None, choices=[r.value for r in datagen.DatasetRole],
+                     help="hyperparameter recipe (factor families; default first)")
     gen.add_argument("--centered", action="store_true",
                      help="subtract empirical column means (factor families)")
     gen.add_argument("--alpha", type=float, default=None, help="AR coefficient (ar1)")
-    gen.add_argument("--noise", default="gaussian", choices=[k.value for k in datagen.NoiseKind],
-                     help="innovation law (ar1)")
+    gen.add_argument("--noise", default=None, choices=[k.value for k in datagen.NoiseKind],
+                     help="innovation law (ar1; default gaussian)")
     gen.add_argument("--d", type=int, required=True, help="dimension")
     gen.add_argument("--n", type=int, required=True, help="sample count")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -227,17 +227,24 @@ def cmd_timing(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.family == "ar1":
+    ar1 = args.family == "ar1"
+    other_family = ({"--centered": args.centered, "--role": args.role is not None} if ar1 else
+                    {"--alpha": args.alpha is not None, "--noise": args.noise is not None})
+    for flag, given in other_family.items():
+        if given:
+            raise UsageError(f"{flag} does not apply to --family {args.family}")
+    if ar1:
         if args.alpha is None:
             raise UsageError("--alpha is required for --family ar1")
         dist = datagen.gen_ar1(_config(datagen.Ar1Config, dim=args.d, n=args.n,
-                                       alpha=args.alpha, noise=datagen.NoiseKind(args.noise),
+                                       alpha=args.alpha,
+                                       noise=datagen.NoiseKind(args.noise or "gaussian"),
                                        seed=args.seed))
     else:
         dist = datagen.gen_factors(_config(datagen.FactorConfig, dim=args.d, n=args.n,
                                            family=datagen.FactorFamily(args.family),
                                            centered=args.centered,
-                                           role=datagen.DatasetRole(args.role),
+                                           role=datagen.DatasetRole(args.role or "first"),
                                            seed=args.seed))
     datagen.save_csv(dist, args.out, header=args.header)
     print(f"wrote {dist.n} x {dist.dim} dataset to {args.out}")

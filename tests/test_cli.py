@@ -380,6 +380,20 @@ class TestGenerate:
                                       "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--alpha", ["--family", "gamma", "--alpha", "0.5"]),
+        ("--noise", ["--family", "gaussian", "--noise", "gaussian"]),
+        ("--centered", ["--family", "ar1", "--alpha", "0.5", "--centered"]),
+        ("--role", ["--family", "ar1", "--alpha", "0.5", "--role", "first"]),
+    ], ids=["alpha", "noise", "centered", "role"])
+    def test_other_family_flag_is_usage_error(self, capsys, tmp_path, flag, argv):
+        # An explicit flag is rejected even when it names its default value.
+        code, _, err = run_cli(capsys, ["generate", *argv, "--d", "3", "--n", "4",
+                                        "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"{flag} does not apply to --family" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, ["generate", "--family", "gaussian", "--d", "2",
                                       "--n", "3", "--out", "/nonexistent-dir/x.csv"])

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import stat
@@ -9,6 +10,7 @@ import pytest
 from swkit import (
     Ar1Config,
     DatasetRole,
+    EmpiricalDistribution,
     FactorConfig,
     FactorFamily,
     NoiseKind,
@@ -448,6 +450,50 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(DatasetParseError):
             load_csv(path)
+
+
+class TestCsvWriter:
+    """save_csv writes the text of np.savetxt(fmt="%.17g", delimiter=","),
+    one block of rows at a time."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 2.0 ** 53 + 1]
+    ROWS = datagen._CSV_BLOCK // 8  # rows of a block at d = 8
+
+    @pytest.mark.parametrize("header", [False, True], ids=["bare", "header"])
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 9), (3000, 1), (ROWS - 1, 8), (ROWS, 8), (ROWS + 1, 8),
+        (3, 2049), (2, 5000),
+    ], ids=str)
+    def test_same_text_as_savetxt(self, tmp_path, shape, header):
+        gen = np.random.default_rng(sum(shape))
+        x = gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 300, shape)
+        k = min(x.size, len(self.SPECIAL))
+        x.flat[:k] = self.SPECIAL[:k]
+        x.flat[-k:] = self.SPECIAL[::-1][:k]
+        want = io.StringIO()
+        if header:
+            want.write(",".join(f"x{j}" for j in range(shape[1])) + "\n")
+        np.savetxt(want, x, fmt="%.17g", delimiter=",")
+        path = tmp_path / "data.csv"
+        save_csv(EmpiricalDistribution(x), path, header=header)
+        assert path.read_bytes() == want.getvalue().encode()
+        assert load_csv(path).data.tobytes() == x.tobytes()
+
+    def test_transient_memory_is_bounded_by_one_block(self, tmp_path):
+        # The data is allocated before tracing starts, so the peak is what
+        # the writer holds above it: one block's floats and text (about
+        # 100 KB) and the file's buffers. The whole text is about 18 MB, and
+        # the whole array as a list of Python floats 32 MB.
+        dist = gen_factors(FactorConfig(dim=50, n=20_000, seed=2))
+        save_csv(gen_factors(FactorConfig(dim=2, n=3, seed=2)), tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            save_csv(dist, tmp_path / "data.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestCsvReader:
