@@ -176,6 +176,8 @@ class ExperimentConfig:
             raise InvalidSample(f"scenario {self.scenario.value} takes no alpha_list")
         for alpha in self.alpha_list:
             _checked("alpha_list", check_alpha, alpha)
+        if len(set(self.alpha_list)) < len(self.alpha_list):
+            raise InvalidSample(f"alpha_list must not repeat a value, got {self.alpha_list}")
         _checked("reference_L", Method.MONTE_CARLO_CV.check_args, self.reference_L, 2.0)
         if self.master_seed < 0:
             raise InvalidSample(f"master_seed must be >= 0, got {self.master_seed}")
@@ -324,7 +326,7 @@ def _cells(cfg):
 
 
 def _with_cell_context(exc: SwkitError, cfg, d, alpha, run):
-    where = f"{cfg.scenario.value}, d={d}" + ("" if alpha is None else f", alpha={alpha:g}")
+    where = f"{cfg.scenario.value}, d={d}" + ("" if alpha is None else f", alpha={alpha!r}")
     return type(exc)(f"[{where}, run={run}] {exc}")
 
 
@@ -384,7 +386,7 @@ def run_timing(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _scenario_key(record: ResultRecord) -> str:
     if record.alpha is None:
         return record.scenario
-    return f"{record.scenario}:alpha={record.alpha:g}"
+    return f"{record.scenario}:alpha={record.alpha!r}"
 
 
 def summarize(records: Sequence[ResultRecord]) -> list[SummaryRow]:

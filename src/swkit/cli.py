@@ -204,7 +204,10 @@ def _config(make, **fields):
 def _run_study(args, make_config, run, **config) -> int:
     """Body of both experiment commands: build the config from the shared
     flags plus ``config``, run the study, write the records CSV, then write
-    and print the summary."""
+    and print the summary. A summary path that names the records file is a
+    usage error, raised before the study runs."""
+    if args.summary_out and os.path.realpath(args.summary_out) == os.path.realpath(args.out):
+        raise UsageError(f"--summary-out {args.summary_out} is the --out file")
     cfg = _config(make_config, paper_scale=args.paper_scale, master_seed=args.seed,
                   d_grid=args.d, n=args.n, runs=args.runs, **config)
     records = run(cfg)

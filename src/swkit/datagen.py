@@ -15,6 +15,8 @@ Two families:
   step it runs (every Gaussian row, and a Student row at alpha = 0) draws
   its innovations straight into its row of the output and is stepped there
   in place; only Student rows with a burn-in draw into a separate buffer.
+  Rows are stepped in batches of at most 1024, one time step at a time
+  across the batch.
 
 Everything is a pure function of (config, seed): same seed, same bytes.
 Every draw comes from :func:`rng.data_stream` (SFC64) streams: one for a
@@ -41,8 +43,7 @@ from .estimators import EmpiricalDistribution
 
 _ROW_BLOCK = 512  # fixed trajectory block size; part of the output contract
 _AR1_NOISE_BYTES = 32 << 20  # AR(1) innovations per batch, drawn into out unless burned in
-_AR1_CHUNK = 64  # AR(1) steps per time-major buffer, which stays in cache
-_PAD = 8  # doubles added to a transpose buffer's row stride against cache-set conflicts
+_AR1_ROWS = 2 * _ROW_BLOCK  # most rows per AR(1) batch: a step's cache lines stay in L2 for 8 steps
 _AR1_TRANSIENT = 2.0 ** -53  # largest relative trace of the zero start left in a kept step
 _CSV_BLOCK = 2048  # values per formatted block of save_csv (at least one row)
 
@@ -196,7 +197,8 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
 def _ar1_noise(cfg: Ar1Config, steps: int, out: np.ndarray):
     """Yield ``(lo, eps)``: the innovations of rows ``lo, lo + 1, ...`` of the
     dataset, ``steps`` per row, as many rows at a time as fit in
-    ``_AR1_NOISE_BYTES`` (one row if a row alone is larger).
+    ``_AR1_NOISE_BYTES`` (one row if a row alone is larger), and at most
+    ``_AR1_ROWS``.
 
     When a row's steps are its kept window (``steps`` equals the width of
     ``out``: every Gaussian row, and a Student row at alpha = 0), ``eps`` is
@@ -212,7 +214,7 @@ def _ar1_noise(cfg: Ar1Config, steps: int, out: np.ndarray):
     a stream draws the same values in one call or in several, so the
     batching never changes a bit.
     """
-    rows = min(cfg.n, max(1, _AR1_NOISE_BYTES // (8 * steps)))
+    rows = min(cfg.n, _AR1_ROWS, max(1, _AR1_NOISE_BYTES // (8 * steps)))
     own = None if steps == out.shape[1] else np.empty((rows, steps))
     draw = max(1, rows // 8)  # rows per Student call
     noise_code = 0 if cfg.noise is NoiseKind.GAUSSIAN else 1
@@ -255,53 +257,30 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
     one scaled by c, so the output has that filter's bits (the tests compare
     the two).
 
-    A step is two ufunc calls across every row of a noise batch (see
-    :func:`_ar1_noise`), on ``_AR1_CHUNK`` steps at a time transposed
-    through a panel into a small time-major chunk that this loop owns. Kept
-    steps go from the chunk straight into the batch's rows of ``out``. When
-    a row runs only its kept steps (every Gaussian row, and a Student row at
-    alpha = 0), its innovations are drawn into its row of ``out`` and
-    stepped in place: each chunk reads its columns of the batch before it
-    writes them back. Besides ``out`` a call then holds one chunk and one
-    panel, each no larger than a batch: both are made for the first batch,
-    the largest, and every later batch steps in a slice of them. Only
-    Student rows with a burn-in add a batch buffer, and Student draws a
-    temporary of at most an eighth of a batch.
+    A noise batch (see :func:`_ar1_noise`) is stepped in place, one column
+    (time step) at a time across its rows: two ufunc calls per step, with
+    the carry alpha * y_{t-1} in a vector of one value per row. When a row
+    runs only its kept steps (every Gaussian row, and a Student row at
+    alpha = 0), the batch is its rows of ``out``, so besides ``out`` a call
+    holds only that carry. A Student row with a burn-in is stepped in the
+    batch buffer, and its kept steps are copied into ``out`` in one slice;
+    Student draws add a temporary of at most an eighth of a batch.
     """
     alpha = cfg.alpha
     if cfg.noise is NoiseKind.GAUSSIAN:  # (1 - alpha)(1 + alpha) does not cancel near 1
         burn_in, start = 0, 1.0 / math.sqrt((1.0 - alpha) * (1.0 + alpha))
     else:
         burn_in, start = _ar1_burn_in(alpha), 1.0
-    steps = burn_in + cfg.dim
     out = np.empty((cfg.n, cfg.dim))
     add, multiply = np.add, np.multiply
-    for lo, eps in _ar1_noise(cfg, steps, out):
-        rows = len(eps)
+    for lo, eps in _ar1_noise(cfg, burn_in + cfg.dim, out):
         eps[:, 0] *= start
-        # Transposes go through panels of at most _ROW_BLOCK rows with a
-        # padded stride, so their strided side stays in L1 for any step count.
-        # The first batch is the largest; later ones slice its buffers.
-        if lo == 0:
-            full_chunk = np.empty((min(_AR1_CHUNK, steps), rows + _PAD))
-            panel = np.empty((min(_ROW_BLOCK, rows), _AR1_CHUNK + _PAD))
-        chunk = full_chunk[:, :rows]
-        panels = [(slice(r, r + _ROW_BLOCK), panel[: min(_ROW_BLOCK, rows - r)])
-                  for r in range(0, rows, _ROW_BLOCK)]
-        step_rows = list(chunk)  # one view per step, made once: the loop is call-bound
-        carry = np.zeros(rows)  # alpha * y_{t-1}
-        dest = out[lo : lo + rows]
-        for t0 in range(0, steps, _AR1_CHUNK):
-            w = min(_AR1_CHUNK, steps - t0)
-            for p, tmp in panels:
-                tmp[:, :w] = eps[p, t0 : t0 + w]
-                chunk[:w, p] = tmp[:, :w].T
-            for y_t in step_rows[:w]:
-                add(y_t, carry, y_t)
-                multiply(y_t, alpha, carry)
-            k = max(0, burn_in - t0)  # the chunk's first kept step
-            for p, _ in panels if k < w else ():
-                dest[p, t0 + k - burn_in : t0 + w - burn_in] = chunk[k:w, p].T
+        carry = np.zeros(len(eps))  # alpha * y_{t-1}
+        for y_t in eps.T:  # one view per step, made as the loop reaches it
+            add(y_t, carry, out=y_t)
+            multiply(y_t, alpha, out=carry)
+        if burn_in:
+            out[lo : lo + len(eps)] = eps[:, burn_in:]
     out.flags.writeable = False  # nothing else holds it: wrapped without a copy
     return EmpiricalDistribution(out)
 

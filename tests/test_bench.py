@@ -120,6 +120,17 @@ class TestSummarize:
         rows = summarize(records)
         assert [r.scenario for r in rows] == ["ar1-gaussian:alpha=0.2", "ar1-gaussian:alpha=0.8"]
 
+    def test_close_alphas_keep_their_own_groups(self):
+        # a key of the shortest repr: distinct alphas never merge, and the
+        # default labels read as before
+        alphas = (*bench.DEFAULT_ALPHAS, 0.5000001)
+        records = [self.rec(10, r, 0.5, scenario="ar1-gaussian", alpha=a)
+                   for a in alphas for r in range(2)]
+        rows = summarize(records)
+        assert [r.scenario for r in rows] == [
+            "ar1-gaussian:alpha=0.2", "ar1-gaussian:alpha=0.5",
+            "ar1-gaussian:alpha=0.5000001", "ar1-gaussian:alpha=0.8"]
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             summarize([])
@@ -133,6 +144,19 @@ class TestConfigValidation:
     def test_ar_needs_alphas(self):
         with pytest.raises(InvalidSample):
             ExperimentConfig(scenario=Scenario.AR1_GAUSSIAN, alpha_list=())
+
+    @pytest.mark.parametrize("alphas", [(0.5, 0.5), (0.2, 0.5, 0.2), (0.0, -0.0)])
+    def test_repeated_alpha_rejected(self, alphas):
+        # a repeated alpha would run its cells twice under one summary key
+        with pytest.raises(InvalidSample, match="alpha_list must not repeat a value"):
+            ExperimentConfig(scenario=Scenario.AR1_STUDENT, alpha_list=alphas)
+        assert ExperimentConfig(scenario=Scenario.AR1_STUDENT,
+                                alpha_list=(0.5, 0.5000001)).alpha_list == (0.5, 0.5000001)
+
+    def test_cell_context_names_the_alpha_exactly(self):
+        exc = bench._with_cell_context(InvalidSample("boom"), tiny_ar_config(), 10, 0.5000001, 2)
+        assert isinstance(exc, InvalidSample)
+        assert str(exc) == "[ar1-gaussian, d=10, alpha=0.5000001, run=2] boom"
 
     def test_factor_rejects_alphas(self):
         with pytest.raises(InvalidSample):

@@ -444,6 +444,36 @@ class TestExperimentCommands:
         ])
         assert code == 1
 
+    def test_repeated_alpha_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(capsys, [
+            "convergence", "--scenario", "ar1-gaussian", "--alpha", "0.5,0.5",
+            "--runs", "1", "--d", "8", "--n", "40", "--out", str(out),
+        ])
+        assert code == 1
+        assert stdout == ""
+        assert "swkit: error: alpha_list must not repeat a value" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("study", [
+        ["convergence", "--scenario", "gaussian-centered"], ["timing"],
+    ], ids=["convergence", "timing"])
+    def test_summary_out_naming_the_out_file_is_usage_error(
+            self, capsys, tmp_path, monkeypatch, study):
+        # the summary would replace the records; a relative and an absolute
+        # spelling of one file are the same path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for out, summary in [("r.csv", "r.csv"), ("r.csv", str(tmp_path / "sub" / ".." / "r.csv"))]:
+            code, stdout, err = run_cli(capsys, [
+                *study, "--runs", "1", "--d", "8", "--n", "40",
+                "--out", out, "--summary-out", summary,
+            ])
+            assert code == 1
+            assert stdout == ""
+            assert "swkit: error: --summary-out" in err and "is the --out file" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
     def test_timing_tiny(self, capsys, tmp_path):
         out = tmp_path / "timing.csv"
         code, stdout, _ = run_cli(capsys, [

@@ -266,96 +266,101 @@ def config_of_steps(noise, steps, **kwargs):
     return Ar1Config(dim=kept, alpha=alpha_with_burn_in(steps - 4), noise=noise, **kwargs)
 
 
-CHUNK_EDGES = [0, 1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)]
+CAP = datagen._AR1_ROWS
+# one row, around the 512-row stream blocks and around one and two batches
+ROW_EDGES = [1, 511, 512, 513, CAP - 1, CAP, CAP + 1, 2 * CAP + 1]
+# the first step alone, one carry, and a row much longer than a cache line
+DIM_EDGES = [1, 2, 65]
+BURN_IN_EDGES = [0, 1, 2]
 
 
 class TestAr1MatchesLfilter:
-    @pytest.mark.parametrize("dim", [1] + [datagen._AR1_CHUNK + k for k in (-1, 0, 1)]
-                             + [2 * datagen._AR1_CHUNK + 1])
-    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize("dim", DIM_EDGES)
+    @pytest.mark.parametrize("n", ROW_EDGES)
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
     def test_same_bits_from_the_stationary_start(self, alpha, n, dim):
-        # Gaussian rows keep every step: a window that ends before, on and
-        # after a chunk boundary, or carries across two of them.
+        # Gaussian rows keep every step, stepped in their rows of the output
+        # in batches that end before, on and after a block or the row cap.
         cfg = Ar1Config(dim=dim, n=n, alpha=alpha, seed=n + dim)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
-    @pytest.mark.parametrize("burn_in", CHUNK_EDGES)
-    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize("burn_in", BURN_IN_EDGES)
+    @pytest.mark.parametrize("dim", DIM_EDGES)
+    @pytest.mark.parametrize("n", ROW_EDGES)
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.95])
     @pytest.mark.parametrize("noise", [NoiseKind.STUDENT_T10])
-    def test_same_bits(self, monkeypatch, noise, alpha, n, burn_in):
-        # The recursion at every pairing of alpha and a burn-in that starts
-        # the kept window before, on and after a chunk boundary, apart from
-        # the count the alpha itself would take.
+    def test_same_bits(self, monkeypatch, noise, alpha, n, dim, burn_in):
+        # The recursion at every pairing of alpha and a kept window that
+        # starts at the first, second or third step, apart from the count
+        # the alpha itself would take: stepped in place without a burn-in,
+        # in the batch buffer and copied out with one.
         monkeypatch.setattr(datagen, "_ar1_burn_in", lambda _: burn_in)
-        cfg = Ar1Config(dim=3, n=n, alpha=alpha, noise=noise, seed=n + burn_in)
+        cfg = Ar1Config(dim=dim, n=n, alpha=alpha, noise=noise, seed=n + dim + burn_in)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
-    @pytest.mark.parametrize("burn_in", CHUNK_EDGES)
-    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize("burn_in", BURN_IN_EDGES)
+    @pytest.mark.parametrize("n", ROW_EDGES)
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_same_bits_at_the_derived_burn_in(self, noise, n, burn_in):
-        # alphas whose burn-in starts a Student row's kept window before, on
-        # and after a chunk boundary; a Gaussian row runs none at any of them
+        # alphas whose burn-in starts a Student row's kept window at its
+        # first, second or third step; a Gaussian row runs none at any of them
         cfg = Ar1Config(dim=3, n=n, alpha=alpha_with_burn_in(burn_in), noise=noise,
                         seed=n + burn_in)
         assert datagen._ar1_burn_in(cfg.alpha) == burn_in
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 100, 512, 1024, 511, 513, 700])
+    @pytest.mark.parametrize("rows", [1, 100, 512, 1024, 511, 513, 700, 2 * CAP])
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_same_bits_for_any_noise_budget(self, monkeypatch, noise, rows):
         # budgets of one row, a run of one block's rows, one block, two
-        # blocks and runs that straddle a block boundary: the batches must
-        # not change a bit
+        # blocks, runs that straddle a block boundary and a budget above the
+        # row cap: the batches must not change a bit
         cfg = config_of_steps(noise, 154, n=1100, seed=9)
         monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * 154 * rows)
         assert gen_ar1(cfg).data.tobytes() == lfilter_ar1(cfg).tobytes()
 
     def test_batches_are_runs_of_rows_across_block_boundaries(self, monkeypatch):
-        cfg = config_of_steps(NoiseKind.GAUSSIAN, 154, n=1100, seed=9)
-        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * 154 * 700)
+        cfg = config_of_steps(NoiseKind.GAUSSIAN, 154, n=2 * CAP + 1, seed=9)
         out = np.empty((cfg.n, cfg.dim))
         batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, 154, out)]
-        assert batches == [(0, 700), (700, 400)]
+        assert batches == [(0, CAP), (CAP, CAP), (2 * CAP, 1)]  # the budget holds more
+        monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", 8 * 154 * 700)
+        batches = [(lo, len(eps)) for lo, eps in datagen._ar1_noise(cfg, 154, out)]
+        assert batches == [(0, 700), (700, 700), (1400, 649)]
 
     @pytest.mark.parametrize("noise", list(NoiseKind))
     def test_transient_memory_is_bounded_by_the_noise_budget(self, monkeypatch, noise):
         # A row that runs only its kept steps (every Gaussian row, a Student
         # row at alpha = 0) is drawn and stepped in its row of out. Besides
-        # out that holds a chunk and a panel (75 KB here), the 64 KB
-        # finiteness check of the result and, for Student noise, a draw of
-        # an eighth of a batch (128 KB), all under a quarter of the 1.04 MB
-        # batch that a separate noise buffer would hold. A Student row with
-        # a burn-in adds that buffer: at most the batch, a chunk no larger
-        # and a draw no larger. A whole 512-row block of the 2000 steps
-        # alone is 8.2 MB here. At a 4 MiB budget a Gaussian call makes 8
-        # batches of up to 262 rows and holds one (64, rows + 8) chunk and
-        # one (rows, 64 + 8) panel for all of them, plus the 64 KiB
-        # finiteness block and 32 KiB of slack: 378 KiB. A new chunk and
-        # panel per batch, made while the last batch's are still bound,
-        # reads 586 KiB.
-        budget = 1 << 20
-        if noise is NoiseKind.GAUSSIAN:
-            rows = (4 << 20) // (8 * 2000)
-            cases = [(budget, config_of_steps(noise, 2000, n=2000, seed=3), budget // 4),
-                     (4 << 20, config_of_steps(noise, 2000, n=2000, seed=3),
-                      8 * (64 * (rows + 8) + rows * (64 + 8)) + (64 << 10) + (32 << 10))]
-        else:
-            cases = [(budget, config_of_steps(noise, 2000, n=2000, seed=3), 3 * budget),
-                     (budget, Ar1Config(dim=2000, n=2000, alpha=0.0, noise=noise, seed=3),
-                      budget // 4)]
-        for noise_bytes, cfg, bound in cases:
+        # out that holds the carry of one value per row, the 64 KiB
+        # finiteness check of the result and, for Student noise, a draw of an
+        # eighth of a batch. A Student row with a burn-in adds one batch
+        # buffer. 32 KiB of slack is below a time-major chunk of 64 steps
+        # of a batch (32.5 KiB at 65 rows, 512 KiB at the cap) and below a
+        # second batch buffer, so a call that held either fails.
+        steps = 2000
+        for noise_bytes in (1 << 20, datagen._AR1_NOISE_BYTES):
+            rows = min(CAP, noise_bytes // (8 * steps))  # 65, then the cap
+            carry, check, slack = 8 * rows, 64 << 10, 32 << 10
+            if noise is NoiseKind.GAUSSIAN:
+                cases = [(config_of_steps(noise, steps, n=2000, seed=3), carry + check + slack)]
+            else:
+                batch, draw = 8 * steps * rows, 8 * steps * (rows // 8)
+                # 4 kept steps a row: out's check runs after the batch is freed
+                cases = [(config_of_steps(noise, steps, n=2000, seed=3),
+                          batch + draw + carry + slack),
+                         (Ar1Config(dim=steps, n=2000, alpha=0.0, noise=noise, seed=3),
+                          draw + carry + check + slack)]
             monkeypatch.setattr(datagen, "_AR1_NOISE_BYTES", noise_bytes)
-            gen_ar1(Ar1Config(dim=1, n=1, alpha=cfg.alpha, noise=noise))  # imports numpy.random
-            tracemalloc.start()
-            try:
-                gen_ar1(cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * cfg.n * cfg.dim + bound, (cfg, peak)
+            for cfg, bound in cases:
+                gen_ar1(Ar1Config(dim=1, n=1, alpha=cfg.alpha, noise=noise))  # imports numpy.random
+                tracemalloc.start()
+                try:
+                    gen_ar1(cfg)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 * cfg.n * cfg.dim + bound, (cfg, noise_bytes, peak)
 
 
 class TestAr1DrawsOnlyWhatItNeeds:
