@@ -55,7 +55,6 @@ from .datagen import (
 )
 from .errors import EmptyInput, InvalidSample, NonPositiveError, SwkitError
 from .estimators import PROJECTION_BLOCK, Method, estimate, monte_carlo_sw_cv
-from .estimators import sw_hat  # noqa: F401  (the benchmark's tracer test looks it up here)
 
 DESK_D_GRID = (10, 32, 100, 316, 1000)
 DESK_RUNS = 20

@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 on usage errors (bad flags or flag values), 2 on
 runtime errors (unreadable files, dimension mismatches, unwritable outputs).
 The worker pool used by the convergence experiment and Monte Carlo estimation
-is capped by the SW_THREADS environment variable.
+has one worker per CPU the process may run on (its CPU affinity set, where
+the platform has one), capped by the SW_THREADS environment variable. Data
+files are read by :func:`swkit.datagen.load_csv`: a first line with no
+numeric field is a header and is skipped.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .estimators import (
     moment_stats,
     xi_d,
 )
-from .estimators import sw_hat  # noqa: F401  (the benchmark's tracer test looks it up here)
 
 
 class UsageError(Exception):
@@ -41,8 +43,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _worker_count() -> int:
+    """The CPUs this process may run on (its affinity set where the platform
+    reports one, else the CPU count), capped by SW_THREADS."""
     limit = os.environ.get("SW_THREADS")
-    workers = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     if limit is not None:
         try:
             workers = min(workers, max(1, int(limit)))

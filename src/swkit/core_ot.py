@@ -121,6 +121,11 @@ class IsoGaussian:
             raise InvalidSample(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
+def _check_dims(a, b) -> None:
+    if a.dim != b.dim:
+        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+
+
 def sw2_gaussian_iso_closed(a: IsoGaussian, b: IsoGaussian) -> float:
     """Exact sliced squared 2-distance between isotropic Gaussians:
     ``(1/d) * ||mean gap||^2 + (sigma gap)^2``.
@@ -128,7 +133,6 @@ def sw2_gaussian_iso_closed(a: IsoGaussian, b: IsoGaussian) -> float:
     Averaging the squared mean separation over uniform directions contributes
     the 1/d factor; the scale mismatch term is direction-independent.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    _check_dims(a, b)
     delta = a.mean - b.mean
     return float(delta @ delta) / a.dim + (a.sigma - b.sigma) ** 2

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rng
 from .errors import DatasetParseError, InvalidSample
-from .estimators import EmpiricalDistribution
+from .estimators import EmpiricalDistribution, _adopt
 
 _ROW_BLOCK = 512  # fixed trajectory block size; part of the output contract
 _AR1_NOISE_BYTES = 32 << 20  # AR(1) innovations per batch, drawn into out unless burned in
@@ -190,8 +190,7 @@ def gen_factors(cfg: FactorConfig) -> EmpiricalDistribution:
         data *= hyper.scale
     if cfg.centered:
         data -= data.mean(axis=0)
-    data.flags.writeable = False  # nothing else holds it: wrapped without a copy
-    return EmpiricalDistribution(data)
+    return _adopt(data)
 
 
 def _ar1_noise(cfg: Ar1Config, steps: int, out: np.ndarray):
@@ -281,8 +280,7 @@ def gen_ar1(cfg: Ar1Config) -> EmpiricalDistribution:
             multiply(y_t, alpha, out=carry)
         if burn_in:
             out[lo : lo + len(eps)] = eps[:, burn_in:]
-    out.flags.writeable = False  # nothing else holds it: wrapped without a copy
-    return EmpiricalDistribution(out)
+    return _adopt(out)
 
 
 def atomic_write(path, write: Callable[[TextIO], object]) -> None:
@@ -336,11 +334,24 @@ def _parse_rows(lines) -> np.ndarray:
     return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
 
 
+def _numeric_field(field: str) -> bool:
+    """Whether one CSV field parses by :func:`_parse_rows`; a blank one does not."""
+    if not field.strip():
+        return False
+    try:
+        _parse_rows([field])
+    except ValueError:
+        return False
+    return True
+
+
 def _data_lines(lines):
     """Yield ``(file line number, line)`` for each data row of a CSV file.
 
     Blank, whitespace-only and '#' comment lines are skipped, and so is the
-    first remaining line if it does not parse as a numeric row (a header).
+    first remaining line if none of its comma-separated fields is numeric (a
+    header). A first line that fails to parse but has a numeric field is a
+    malformed data row, and is yielded for the parser to reject.
     """
     first = True
     for lineno, line in enumerate(lines, start=1):
@@ -352,7 +363,8 @@ def _data_lines(lines):
             try:
                 _parse_rows([line])
             except ValueError:
-                continue
+                if not any(map(_numeric_field, line.split(","))):
+                    continue
         yield lineno, line
 
 
@@ -396,12 +408,14 @@ def load_csv(path) -> EmpiricalDistribution:
     The file must be UTF-8 text (a leading byte-order mark is skipped) with
     one sample per line and fields separated by commas. Blank lines and
     full-line '#' comments are skipped, and one optional header line is
-    dropped: the first remaining line, if it is not numeric. A numeric field
-    is whatever numpy's float parser accepts, surrounding whitespace
-    allowed; Python-only spellings such as ``1_0`` are rejected. Rows must
-    all have the same width and hold finite values. Any violation raises
-    :class:`DatasetParseError` with the file and the line of the first
-    fault; a file without data rows raises it with line 0.
+    dropped: the first remaining line, if none of its fields is numeric. A
+    first line with a numeric field is data, so a fault in it is reported at
+    its own line. A numeric field is whatever numpy's float parser accepts,
+    surrounding whitespace allowed; Python-only spellings such as ``1_0``
+    are rejected. Rows must all have the same width and hold finite values.
+    Any violation raises :class:`DatasetParseError` with the file and the
+    line of the first fault; a file without data rows raises it with line 0.
+    The parsed array is wrapped without a copy.
     """
     path = os.fspath(path)
     try:
@@ -410,9 +424,7 @@ def load_csv(path) -> EmpiricalDistribution:
             first = next(rows, None)
             if first is None:
                 raise DatasetParseError(path, 0, "no data rows")
-            data = _parse_rows(line for _, line in itertools.chain([first], rows))
-        data.flags.writeable = False  # nothing else holds it: wrapped without a copy
-        return EmpiricalDistribution(data)
+            return _adopt(_parse_rows(line for _, line in itertools.chain([first], rows)))
     except (ValueError, InvalidSample):  # UnicodeDecodeError is a ValueError
         _raise_first_fault(path)
         raise

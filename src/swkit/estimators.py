@@ -64,6 +64,7 @@ from . import rng
 from .core_ot import (
     IsoGaussian,
     Samples1d,
+    _check_dims,
     check_finite,
     check_order,
     sorted_gap_costs,
@@ -173,17 +174,18 @@ class EmpiricalDistribution:
     """n samples in R^d with uniform weights; rows of ``data`` are samples.
 
     ``data`` is stored as a read-only, C-contiguous float64 array. Any other
-    input is copied into one; a plain ndarray that already is one is kept
-    without a copy, so whoever marked it read-only must not write to it
-    through another reference. The shape and finiteness checks run either
-    way.
+    input is copied into one. A plain ndarray that already is one and owns
+    its data is kept without a copy, so whoever marked it read-only must not
+    write to it through another reference; a read-only view is copied, since
+    its base may still be writable. The shape and finiteness checks run
+    either way. Inside swkit only :func:`_adopt` hands over arrays to keep.
     """
 
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         arr = self.data
-        if not (type(arr) is np.ndarray and arr.dtype == np.float64
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.owndata
                 and arr.flags.c_contiguous and not arr.flags.writeable):
             arr = np.array(arr, dtype=np.float64, copy=True, order="C")
         if arr.ndim == 1:
@@ -296,12 +298,16 @@ class WeakDepParams:
             raise InvalidSample("rho0 cannot exceed rho_inf (rho_inf bounds the series sum)")
 
 
+def _adopt(fresh: np.ndarray) -> EmpiricalDistribution:
+    """Wrap ``fresh``, an array no other reference writes to, without a copy."""
+    fresh.flags.writeable = False
+    return EmpiricalDistribution(fresh)
+
+
 def center(mu: EmpiricalDistribution) -> tuple[np.ndarray, EmpiricalDistribution]:
     """Return the empirical mean and the dataset with that mean subtracted."""
     mean = mu.data.mean(axis=0)
-    centered = mu.data - mean
-    centered.flags.writeable = False  # so EmpiricalDistribution keeps it without a copy
-    return mean, EmpiricalDistribution(centered)
+    return mean, _adopt(mu.data - mean)
 
 
 def project(mu: EmpiricalDistribution, theta) -> Samples1d:
@@ -430,8 +436,7 @@ def _span_costs(sides, p, law, seed, lo, hi, values, covariates, team, member):
 
 
 def _check_pair(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> None:
-    if mu.dim != nu.dim:
-        raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
+    _check_dims(mu, nu)
     if mu.n != nu.n:
         raise LengthMismatch(f"sample sizes differ: {mu.n} vs {nu.n}")
 
@@ -746,14 +751,14 @@ def theorem2_gap_bound(stats_mu: MomentStats, stats_nu: MomentStats) -> float:
     data describe another pair, and give an envelope several times larger
     that stays flat in d.
     """
-    if stats_mu.dim != stats_nu.dim:
-        raise DimMismatch(f"dimensions differ: {stats_mu.dim} vs {stats_nu.dim}")
+    _check_dims(stats_mu, stats_nu)
     return math.sqrt(xi_d(stats_mu) + xi_d(stats_nu))
 
 
-# Size of the blocks the moment passes read, in bytes rather than rows so a
-# block stays in cache while it is read twice at any d, and blocks stay large
-# enough at small d that per-block call overhead does not dominate.
+# Size of the blocks the moment passes and autocov_decay read, in bytes
+# rather than rows so a block stays in cache while it is read more than once
+# at any d, and blocks stay large enough at small d that per-block call
+# overhead does not dominate.
 _CENTER_BLOCK_BYTES = 1 << 19
 
 # Largest kappa^2 = m2 / m2c at which _mean_and_scaled_m2 keeps its one-pass
@@ -859,8 +864,7 @@ def sw_hat(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> SwEstimate:
     the raw mean, whose error does not grow with the offset. The bits do
     not depend on the BLAS thread count.
     """
-    if mu.dim != nu.dim:
-        raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
+    _check_dims(mu, nu)
     t0 = time.perf_counter_ns()
     fits = []
     for dist in (mu, nu):
@@ -882,8 +886,7 @@ def sw_moment_approx_sq(mu: EmpiricalDistribution, nu: EmpiricalDistribution) ->
     large means the error does not vanish with dimension, which is exactly
     the failure mode the convergence benchmark demonstrates.
     """
-    if mu.dim != nu.dim:
-        raise DimMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
+    _check_dims(mu, nu)
     scaled_mu = float(np.mean(np.einsum("ij,ij->i", mu.data, mu.data))) / mu.dim
     scaled_nu = float(np.mean(np.einsum("ij,ij->i", nu.data, nu.data))) / nu.dim
     zero = np.zeros(mu.dim)
@@ -961,22 +964,33 @@ def autocov_decay(
     n - 1) between coordinates i and i + k over all valid i, once for the
     raw coordinates and once for their squares. Lag 0 gives the average
     per-coordinate variances. Returns (lags, cov, cov_sq).
+
+    The column means of the data and of its squares come first. The lag
+    products are then summed over row blocks of _CENTER_BLOCK_BYTES, so the
+    transient memory is one centered block of each, not two copies of the
+    data.
     """
     max_lag = int(max_lag)
     if max_lag < 0 or max_lag >= mu.dim:
         raise InvalidLag(f"max_lag must be in [0, {mu.dim - 1}], got {max_lag}")
     if mu.n < 2:
         raise InsufficientSamples("autocovariances need at least 2 samples")
-    n, d = mu.n, mu.dim
-    x = mu.data - mu.data.mean(axis=0)
-    x2 = mu.data * mu.data
-    x2 -= x2.mean(axis=0)
+    data = mu.data
+    n, d = data.shape
+    rows = max(1, _CENTER_BLOCK_BYTES // (data.itemsize * d))
+    blocks = [data[lo : lo + rows] for lo in range(0, n, rows)]
+    mean = data.mean(axis=0)
+    mean_sq = sum(np.einsum("ij,ij->j", block, block) for block in blocks) / n
     lags = np.arange(max_lag + 1)
-    cov = np.empty(max_lag + 1)
-    cov_sq = np.empty(max_lag + 1)
-    for k in lags:
-        width = d - k
-        cov[k] = float(np.einsum("ij,ij->", x[:, :width], x[:, k:])) / ((n - 1) * width)
-        cov_sq[k] = float(np.einsum("ij,ij->", x2[:, :width], x2[:, k:])) / ((n - 1) * width)
-    return lags, cov, cov_sq
+    cov = np.zeros(max_lag + 1)
+    cov_sq = np.zeros(max_lag + 1)
+    for block in blocks:
+        x = block - mean
+        x2 = block * block
+        x2 -= mean_sq
+        for k in lags:
+            cov[k] += np.einsum("ij,ij->", x[:, : d - k], x[:, k:])
+            cov_sq[k] += np.einsum("ij,ij->", x2[:, : d - k], x2[:, k:])
+    scale = (n - 1) * (d - lags)
+    return lags, cov / scale, cov_sq / scale
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import swkit
-from swkit import datagen
+from swkit import cli, datagen
 from swkit.cli import main
 from swkit.datagen import FactorConfig, FactorFamily, gen_factors, load_csv, save_csv
 from swkit.estimators import estimate, sw_moment_approx_sq
@@ -108,6 +108,20 @@ class TestWorkerPoolEnv:
         monkeypatch.delenv("SW_THREADS")
         _, free, _ = run_cli(capsys, argv)
         assert capped.split(",")[:4] == free.split(",")[:4]  # same value either way
+
+    def test_default_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("SW_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._worker_count() == 2
+        monkeypatch.setenv("SW_THREADS", "1")
+        assert cli._worker_count() == 1
+        monkeypatch.setenv("SW_THREADS", "5")
+        assert cli._worker_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+        assert cli._worker_count() == 5
+        monkeypatch.delenv("SW_THREADS")
+        assert cli._worker_count() == 8
 
     def test_invalid_sw_threads_is_usage_error(self, dataset_csv, capsys, monkeypatch):
         a = dataset_csv("a.csv")
@@ -265,6 +279,16 @@ class TestEstimate:
 
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("text", ["1,2x\n3,4\n5,6\n", "1,2,\n3,4\n", " ,2\n3,4\n"],
+                             ids=["bad-field", "trailing-comma", "blank-field"])
+    def test_malformed_first_row_is_not_taken_as_a_header(self, capsys, tmp_path, text):
+        # a first line with a numeric field is data, so its fault is reported
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, ["diagnostics", str(bad)])
+        assert (code, out) == (2, "")
+        assert f"{bad}:1: non-numeric field" in err
+
     def test_zero_dataset_all_zero(self, capsys, tmp_path):
         path = tmp_path / "zeros.csv"
         path.write_text("0.0,0.0\n0.0,0.0\n")

@@ -548,11 +548,22 @@ class TestCsvReader:
         (b"# comment\nx0,x1\n\n1.0,2.0\n  \n3.0\n", 6, "expected 2 columns, found 1"),
         # Python's float() took 1_0 as 10; numpy's parser does not
         (b"1.0,2.0\n\n# comment\n3.0,1_0\n", 4, "non-numeric field"),
+        # a first line with a numeric field is a malformed row, not a header
+        (b"1,2x\n3,4\n5,6\n", 1, "non-numeric field"),
+        (b"1,2,\n3,4\n", 1, "non-numeric field"),
+        (b" ,2\n3,4\n", 1, "non-numeric field"),
+        (b"# comment\n\n1,2x\n3,4\n", 3, "non-numeric field"),
     ])
     def test_fault_reports_file_line_not_row_index(self, tmp_path, content, line, reason):
         err = self.fault(tmp_path, content)
         assert err.line == line
         assert reason in err.reason
+
+    @pytest.mark.parametrize("header", [b"x0,x1", b"x0,x1,", b" a , b ", b"x0, "],
+                             ids=["plain", "trailing-comma", "padded", "blank-field"])
+    def test_first_line_without_a_numeric_field_is_a_header(self, tmp_path, header):
+        back = self.load(tmp_path, header + b"\n1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(back, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_only_file_has_no_data_rows(self, tmp_path):
         err = self.fault(tmp_path, b"# comment\nx0,x1\n\n")

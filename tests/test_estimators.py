@@ -122,9 +122,22 @@ class TestEmpiricalDistribution:
         assert source.flags.writeable  # the caller's array is left alone
 
     def test_read_only_float64_c_contiguous_input_is_kept(self):
-        source = np.arange(6.0).reshape(3, 2)
+        source = np.arange(6.0).reshape(3, 2).copy()  # owns its data: not a view
         source.flags.writeable = False
         assert EmpiricalDistribution(source).data is source
+
+    @pytest.mark.parametrize("make_view", [lambda base: base[:], lambda base: base.reshape(3, 4)],
+                             ids=["slice", "reshape"])
+    def test_read_only_view_of_a_writable_array_is_copied(self, make_view):
+        # the view's base stays writable, so keeping the view would let a
+        # value that never passed the finiteness check into the data
+        base = np.ones((4, 3))
+        view = make_view(base)
+        view.flags.writeable = False
+        dist = EmpiricalDistribution(view)
+        base[0, 0] = np.nan
+        assert dist.data is not view
+        np.testing.assert_array_equal(dist.data, np.ones(view.shape))
 
     @pytest.mark.parametrize("source", [
         np.arange(6, dtype=np.float32).reshape(3, 2),
@@ -1247,6 +1260,20 @@ class TestAutocov:
             want = [float((x[:, : d - k] * x[:, k:]).sum()) / ((n - 1) * (d - k))
                     for k in range(12)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * abs(want[0]))
+
+    def test_transient_memory_is_one_block_of_each(self):
+        # two (n, d) temporaries, of the centered data and of the centered
+        # squares, would be 32 MB here
+        data = np.random.default_rng(104).standard_normal((2000, 1000))
+        data.flags.writeable = False
+        dist = EmpiricalDistribution(data)
+        tracemalloc.start()
+        try:
+            autocov_decay(dist, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _CENTER_BLOCK_BYTES
 
     def test_lag_bounds_checked(self):
         dist = make_dist(102, 10, 4)

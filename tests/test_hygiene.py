@@ -3,8 +3,9 @@ function or imports a name it never uses, no module defines a private
 helper, constant or table that nothing in the package reads, no public
 function or class goes uncalled by the package, the acceptance criteria and
 the benchmark, no module reads a numpy name that the declared floor, numpy
-1.24, lacks, and no module but ``rng`` touches ``numpy.random``. The
-benchmark's traced layer names must resolve.
+1.24, lacks, no module but ``rng`` touches ``numpy.random``, and no module
+but ``estimators`` sets an array's writeable flag. The benchmark's traced
+layer names must resolve.
 
 No linter is a test dependency, so this walks each module's syntax tree
 itself. The unused-import check skips ``__init__.py``, since re-exporting
@@ -130,6 +131,22 @@ def numpy_random_uses(text: str) -> list[tuple[int, str, str]]:
 
     visit(tree, "<module>")
     return found
+
+
+def writeable_flag_sets(text: str) -> list[str]:
+    """Lines of ``text`` that set an array's writeable flag: an assignment
+    to an attribute named ``writeable`` (``a.flags.writeable = False``) or a
+    ``setflags`` call."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [node.lineno for target in targets for inner in ast.walk(target)
+                      if isinstance(inner, ast.Attribute) and inner.attr == "writeable"]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setflags"):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
 
 
 def names_read(texts) -> set[str]:
@@ -295,3 +312,18 @@ def test_allowed_numpy_random_uses_exist():
     found = {(module, *use[1:]) for module in MODULES
              for use in numpy_random_uses((SRC / module).read_text())}
     assert RANDOM_ALLOWED <= found
+
+
+def test_checker_sees_a_writeable_flag_set():
+    text = ("import numpy as np\n\na = np.ones(3)\nprint(a.flags.writeable)\n"
+            "a.flags.writeable = False\nb, a.flags.writeable = 1, True\n"
+            "a.setflags(write=False)\nflags = a.flags\nflags.writeable = True\n")
+    assert writeable_flag_sets(text) == ["line 5", "line 6", "line 7", "line 9"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
+                                          if p.name != "estimators.py"))
+def test_only_estimators_sets_the_writeable_flag(module):
+    # EmpiricalDistribution alone decides when an array is kept without a
+    # copy; other modules hand it fresh arrays through estimators._adopt
+    assert writeable_flag_sets((SRC / module).read_text()) == []
